@@ -132,7 +132,7 @@ def _cmd_flowcut(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(res, ConcurrentFlow):
-        obj = {"kind": "flow", "paths": len(res.paths),
+        obj = {"kind": "flow", "paths": res.path_count,
                "max_congestion": res.max_congestion()}
         human = (f"flow with {obj['paths']} paths, max congestion "
                  f"{obj['max_congestion']:.6g}")
@@ -270,7 +270,11 @@ _BENCH_FIELDS = ["n", "branch", "separator_size", "centers", "radius",
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",") if x]
+    except ValueError:
+        raise GraphError(f"--sizes needs comma-separated integers, got "
+                         f"{args.sizes!r}") from None
     k = args.pattern_clique
     pat = PatternGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
     buf = io.StringIO()

@@ -18,6 +18,10 @@ LP dual lengths, spectral, weight orders); each candidate is recomputed
 from scratch before it is returned, so a returned object always satisfies
 its side of the dichotomy.
 
+A tree-routed flow is stored as one parent array per positive source: its
+p(p-1) paths (p positive vertices) are walked on demand, never written
+out.  Only the LP's flows, on small graphs, hold explicit paths.
+
 `balanced_separator_or_flow` iterates the dichotomy, peeling the lighter
 side of each separation, and ends with either a balanced separator of the
 whole graph or a flow on a still-heavy induced subgraph.
@@ -29,7 +33,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .graph import (GraphError, Separation, WeightedGraph,
                     connected_components, induced_subgraph, make_separation)
@@ -58,27 +62,75 @@ class FlowError(GraphError):
 class ConcurrentFlow:
     """Path flow routing demand w(u) * w(v) for each ordered positive pair.
 
-    `paths` holds (vertex tuple, amount) entries; `index` maps an ordered
-    pair (u, v) to the path ids serving it.  Congestion at a vertex is the
-    total amount over all paths containing it, endpoints included.
+    A flow is stored in one of two ways.  An explicit flow (the LP's, or
+    the empty one) has `trees` None, and `index` maps each ordered pair
+    (u, v) to the (vertex tuple, amount) paths serving it.  A tree flow
+    leaves `index` empty, and `trees` maps each positive source s to the
+    parent array of its routing tree: pair (s, t) is served by the single
+    tree path from s to t at amount w(s) * w(t).  Its paths are walked only
+    when asked for, so it takes O(p * n) memory for p positive vertices
+    instead of one stored path per ordered pair.  Congestion at a vertex is
+    the total amount over all paths containing it, endpoints included; it
+    is computed on first use, from the paths in `routed()` order.
     """
 
     def __init__(self, host: WeightedGraph,
-                 paths: list[tuple[tuple[int, ...], float]],
-                 index: dict[tuple[int, int], list[int]]):
+                 index: dict[tuple[int, int],
+                             list[tuple[tuple[int, ...], float]]],
+                 trees: dict[int, list[int]] | None = None):
         self.host = host
-        self.paths = paths
         self.index = index
+        self.trees = trees
         self._congestion: list[float] | None = None
 
     @classmethod
     def empty(cls, host: WeightedGraph) -> "ConcurrentFlow":
-        return cls(host, [], {})
+        return cls(host, {})
+
+    def routed(self) -> Iterator[tuple[int, int, tuple[int, ...], float]]:
+        """Every path as (source, target, vertices, amount), in fixed order.
+
+        A tree flow walks its paths source by source, targets in the same
+        order; nothing is kept between calls.
+        """
+        if self.trees is None:
+            for (u, v), entries in self.index.items():
+                for verts, amount in entries:
+                    yield u, v, verts, amount
+            return
+        w = self.host.weights
+        for s in self.trees:
+            for t in self.trees:
+                if t != s:
+                    yield s, t, self._tree_path(s, t), w[s] * w[t]
+
+    def _tree_path(self, s: int, t: int) -> tuple[int, ...]:
+        parent = self.trees[s]
+        rev = [t]
+        while rev[-1] != s:
+            x = parent[rev[-1]]
+            if x < 0 or len(rev) >= self.host.n:
+                raise FlowError(f"tree of source {s} does not lead to {t}")
+            rev.append(x)
+        rev.reverse()
+        return tuple(rev)
+
+    @property
+    def paths(self) -> list[tuple[tuple[int, ...], float]]:
+        """All (vertex tuple, amount) paths; a tree flow walks every one."""
+        return [(verts, amount) for _, _, verts, amount in self.routed()]
+
+    @property
+    def path_count(self) -> int:
+        if self.trees is None:
+            return sum(len(entries) for entries in self.index.values())
+        p = len(self.trees)
+        return p * (p - 1)
 
     def congestion_vector(self) -> list[float]:
         if self._congestion is None:
             cong = [0.0] * self.host.n
-            for verts, amount in self.paths:
+            for _, _, verts, amount in self.routed():
                 for v in verts:
                     cong[v] += amount
             self._congestion = cong
@@ -91,12 +143,21 @@ class ConcurrentFlow:
         return max(self.congestion_vector(), default=0.0)
 
     def paths_between(self, u: int, v: int) -> list[tuple[tuple[int, ...], float]]:
-        return [self.paths[i] for i in self.index.get((u, v), [])]
+        if self.trees is None:
+            return list(self.index.get((u, v), []))
+        if u == v or u not in self.trees or v not in self.trees:
+            return []
+        w = self.host.weights
+        return [(self._tree_path(u, v), w[u] * w[v])]
 
     def check(self, tol: float = 1e-6) -> None:
-        """Raise FlowError unless paths are valid and all demands are met."""
+        """Raise FlowError unless paths are valid and all demands are met.
+
+        Every path is checked, a tree flow's included: it is walked here.
+        """
         g = self.host
-        for verts, amount in self.paths:
+        amounts: dict[tuple[int, int], list[float]] = {}
+        for u, v, verts, amount in self.routed():
             if amount < 0:
                 raise FlowError("negative path amount")
             if len(verts) < 2:
@@ -106,11 +167,9 @@ class ConcurrentFlow:
             for a, b in zip(verts, verts[1:]):
                 if not g.has_edge(a, b):
                     raise FlowError(f"path step ({a}, {b}) is not an edge")
-        for (u, v), ids in self.index.items():
-            for i in ids:
-                verts, _ = self.paths[i]
-                if verts[0] != u or verts[-1] != v:
-                    raise FlowError(f"path {verts} indexed under ({u}, {v})")
+            if verts[0] != u or verts[-1] != v:
+                raise FlowError(f"path {verts} indexed under ({u}, {v})")
+            amounts.setdefault((u, v), []).append(amount)
         w = g.weights
         positives = [v for v in range(g.n) if w[v] > 0]
         for u in positives:
@@ -118,7 +177,7 @@ class ConcurrentFlow:
                 if u == v:
                     continue
                 want = w[u] * w[v]
-                got = math.fsum(a for _, a in self.paths_between(u, v))
+                got = math.fsum(amounts.get((u, v), []))
                 if abs(got - want) > tol * max(1.0, want):
                     raise FlowError(
                         f"demand ({u}, {v}): routed {got}, want {want}")
@@ -244,31 +303,6 @@ def _tree_congestion(g: WeightedGraph, positives: list[int],
     return cong
 
 
-def _materialize_tree_flow(g: WeightedGraph, positives: list[int],
-                           trees: dict[int, tuple[list[int], list[int]]]
-                           ) -> ConcurrentFlow:
-    w = g.weights
-    paths: list[tuple[tuple[int, ...], float]] = []
-    index: dict[tuple[int, int], list[int]] = {}
-    for s in positives:
-        parent, _ = trees[s]
-        for t in positives:
-            if t == s:
-                continue
-            rev = [t]
-            x = t
-            while x != s:
-                x = parent[x]
-                if x == -1:
-                    raise FlowCutError(
-                        f"demand pair ({s}, {t}) is disconnected")
-                rev.append(x)
-            rev.reverse()
-            index[(s, t)] = [len(paths)]
-            paths.append((tuple(rev), w[s] * w[t]))
-    return ConcurrentFlow(g, paths, index)
-
-
 def _attempt_tree_flow(g: WeightedGraph, gamma: float, positives: list[int],
                        rounds: int = 3) -> ConcurrentFlow | None:
     """Try to route all demands at congestion <= gamma on source trees."""
@@ -290,7 +324,8 @@ def _attempt_tree_flow(g: WeightedGraph, gamma: float, positives: list[int],
         cost = [1.0 + (g.n * c) / scale for c in cong]
     if best is None or best_cong > gamma * (1 + _REL_TOL):
         return None
-    return _materialize_tree_flow(g, positives, best)
+    return ConcurrentFlow(g, {},
+                          {s: parent for s, (parent, _) in best.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +475,7 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
     q = outcome.throughput
     w = g.weights
     inst_arcs = [(t, h) for t, h, _ in build_split_instance(g).arcs]
-    paths: list[tuple[tuple[int, ...], float]] = []
-    index: dict[tuple[int, int], list[int]] = {}
+    index: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
     grouped: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
     for s in positives:
         arc_flow = [x / q for x in outcome.source_arc_flow[s]]
@@ -472,12 +506,9 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
                     f"LP decomposition lost demand ({u}, {v})",
                     {"routed": got, "want": want})
             factor = want / got
-            ids = []
-            for verts, amount in entries:
-                ids.append(len(paths))
-                paths.append((verts, amount * factor))
-            index[(u, v)] = ids
-    return ConcurrentFlow(g, paths, index)
+            index[(u, v)] = [(verts, amount * factor)
+                             for verts, amount in entries]
+    return ConcurrentFlow(g, index)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +657,8 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float,
     (recorded on the object).  Raises FlowCutError when neither side can be
     certified, which on sound inputs only signals solver non-convergence.
     """
-    if gamma <= 0:
-        raise GraphError("gamma must be positive")
+    if not math.isfinite(gamma) or gamma <= 0:
+        raise GraphError(f"gamma must be positive and finite, got {gamma}")
     w = g.weights
     positives = [v for v in range(g.n) if w[v] > 0]
     if len(positives) < 2:

@@ -5,6 +5,7 @@ import pytest
 from coarsesep import (
     BalancedSeparatorResult,
     ConcurrentFlow,
+    FlowError,
     GraphError,
     HeavyFlowResult,
     Separation,
@@ -21,6 +22,7 @@ from coarsesep.generators import (
     grid_graph,
     path_graph,
 )
+from coarsesep.flow import _tree_congestion, _tree_from
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -85,6 +87,12 @@ def test_gamma_must_be_positive():
         flow_or_sparse_cut(path_graph(3), 0.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_gamma_must_be_finite(gamma):
+    with pytest.raises(GraphError, match="gamma"):
+        flow_or_sparse_cut(path_graph(3), gamma)
+
+
 def test_fewer_than_two_positive_weights_gives_empty_flow():
     g = path_graph(4).with_weights([0, 3, 0, 0])
     res = flow_or_sparse_cut(g, 0.01)
@@ -116,6 +124,64 @@ def test_weighted_demands_meet_product():
     assert isinstance(res, ConcurrentFlow)
     res.check()
     assert math.fsum(a for _, a in res.paths_between(0, 2)) == pytest.approx(6.0)
+
+
+def _reference_tree_flow(g, trees):
+    """Every path of a tree flow written out, and its congestion."""
+    w = g.weights
+    paths = {}
+    cong = [0.0] * g.n
+    for s, parent in trees.items():
+        for t in trees:
+            if t == s:
+                continue
+            rev = [t]
+            while rev[-1] != s:
+                rev.append(parent[rev[-1]])
+            verts = tuple(reversed(rev))
+            paths[(s, t)] = [(verts, w[s] * w[t])]
+            for v in verts:
+                cong[v] += w[s] * w[t]
+    return paths, cong
+
+
+def test_tree_flow_walks_the_paths_of_its_parent_arrays():
+    # vertex 3 weighs nothing but is the only way into vertex 1; plain BFS
+    # trees peak at congestion 0.78, so gamma 0.72 needs a rerouted round.
+    # Weights in tenths are inexact in binary, so the exact comparison of
+    # congestion vectors also pins the order of summation.
+    g = WeightedGraph(7, [(0, 3), (0, 4), (1, 3), (2, 3), (2, 4), (2, 5),
+                          (4, 5), (4, 6), (5, 6)],
+                      [0.1, 0.2, 0.3, 0.0, 0.2, 0.1, 0.3])
+    positives = [0, 1, 2, 4, 5, 6]
+    bfs = {s: _tree_from(g, s, None) for s in positives}
+    bfs_peak = max(_tree_congestion(g, positives, bfs, g.total_weight))
+    assert bfs_peak == pytest.approx(0.78)
+    res = flow_or_sparse_cut(g, 0.72)
+    assert isinstance(res, ConcurrentFlow)
+    assert list(res.trees) == positives
+    assert res.trees != {s: parent for s, (parent, _) in bfs.items()}
+    ref_paths, ref_cong = _reference_tree_flow(g, res.trees)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert res.paths_between(u, v) == ref_paths.get((u, v), [])
+    assert res.congestion_vector() == ref_cong
+    assert res.max_congestion() <= 0.72
+    assert res.path_count == 30
+    res.check()
+
+
+def test_check_walks_every_tree_path():
+    res = flow_or_sparse_cut(path_graph(5), 1e6)
+    assert isinstance(res, ConcurrentFlow)
+    res.check()
+    res.trees[0][4] = 2  # source 0's path to 4 now steps 2 -> 4
+    with pytest.raises(FlowError, match="not an edge"):
+        res.check()
+    res.trees[0][4] = 3
+    res.trees[0][2] = 3  # 3 -> 2 -> 3 never gets back to source 0
+    with pytest.raises(FlowError, match="does not lead"):
+        res.check()
 
 
 def test_separation_objects_are_sound():

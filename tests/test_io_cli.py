@@ -147,8 +147,20 @@ def test_cli_flowcut_json(tmp_path, capsys):
     assert data["sparsity"] == 0.25
     code, out, _ = run_cli(capsys, "flowcut", str(path), "--gamma", "6",
                            "--json")
-    data = json.loads(capsys.readouterr().out or out)
     assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "flow"
+    assert data["paths"] == 6
+    assert data["max_congestion"] == 6.0
+
+
+def test_cli_flowcut_rejects_nan_gamma(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(path))
+    code, out, err = run_cli(capsys, "flowcut", str(path), "--gamma", "nan")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "gamma" in err
 
 
 def test_cli_separate_verify_round_trip(tmp_path, capsys):
@@ -252,6 +264,13 @@ def test_cli_bench_timings_fill_runtime(capsys):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     assert float(row[5]) >= 0.0
+
+
+def test_cli_bench_bad_sizes_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "3,x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'3,x'" in err
 
 
 def test_cli_bad_input_is_exit_two(tmp_path, capsys):
