@@ -71,24 +71,24 @@ def _result_json(res) -> dict:
 # Subcommands
 
 
+# family -> builder(n, args); `bench` offers the families in _BENCH_FAMILIES
+_FAMILIES = {
+    "path": lambda n, a: generators.path_graph(n),
+    "cycle": lambda n, a: generators.cycle_graph(n),
+    "clique": lambda n, a: generators.complete_graph(n),
+    "grid": lambda n, a: generators.grid_graph(a.rows or n, a.cols),
+    "torus": lambda n, a: generators.torus_graph(a.rows or n, a.cols),
+    "gnp": lambda n, a: generators.gnp_graph(n, a.p, a.seed),
+    "regular": lambda n, a: generators.random_regular_graph(n, a.degree,
+                                                            a.seed),
+    "barbell": lambda n, a: generators.barbell_graph(n, a.bridge),
+}
+_BENCH_FAMILIES = ["grid", "cycle", "path", "regular", "gnp"]
+
+
 def _cmd_gen(args) -> int:
     fam = args.family
-    if fam == "path":
-        g = generators.path_graph(args.n)
-    elif fam == "cycle":
-        g = generators.cycle_graph(args.n)
-    elif fam == "clique":
-        g = generators.complete_graph(args.n)
-    elif fam == "grid":
-        g = generators.grid_graph(args.rows or args.n, args.cols)
-    elif fam == "torus":
-        g = generators.torus_graph(args.rows or args.n, args.cols)
-    elif fam == "gnp":
-        g = generators.gnp_graph(args.n, args.p, args.seed)
-    elif fam == "regular":
-        g = generators.random_regular_graph(args.n, args.degree, args.seed)
-    else:
-        g = generators.barbell_graph(args.n, args.bridge)
+    g = _FAMILIES[fam](args.n, args)
     text = format_graph(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -281,16 +281,7 @@ def _cmd_bench(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(_BENCH_FIELDS)
     for n in sizes:
-        if args.family == "grid":
-            g = generators.grid_graph(n)
-        elif args.family == "cycle":
-            g = generators.cycle_graph(n)
-        elif args.family == "path":
-            g = generators.path_graph(n)
-        elif args.family == "regular":
-            g = generators.random_regular_graph(n, args.degree, args.seed)
-        else:
-            g = generators.gnp_graph(n, args.p, args.seed)
+        g = _FAMILIES[args.family](n, args)
         config = PipelineConfig(eps=args.eps, seed=args.seed)
         start = time.perf_counter()
         res = coarse_separator_or_model(g, pat, args.fatness, config)
@@ -339,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", parents=[common],
                         help="write a generated graph")
-    p.add_argument("--family", required=True,
-                   choices=["path", "cycle", "clique", "grid", "torus",
-                            "gnp", "regular", "barbell"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=0,
                    help="vertex count (cliques, paths, ...) or side length")
     p.add_argument("--rows", type=int, default=0)
@@ -416,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", parents=[common],
                         help="run the pipeline across sizes, emit CSV")
-    p.add_argument("--family", default="grid",
-                   choices=["grid", "cycle", "path", "regular", "gnp"])
+    p.add_argument("--family", default="grid", choices=_BENCH_FAMILIES)
     p.add_argument("--sizes", required=True,
                    help="comma-separated size list")
     p.add_argument("--fatness", type=int, default=3)
@@ -429,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="fill the runtime column (non-deterministic)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, rows=0, cols=None)
 
     return parser
 

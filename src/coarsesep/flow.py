@@ -600,16 +600,20 @@ def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:
     return out
 
 
+def _completed(g: WeightedGraph, order: list[int]) -> list[int]:
+    """`order` followed by the vertices it misses (disconnected host)."""
+    if len(order) == g.n:
+        return order
+    seen = set(order)
+    return order + [v for v in range(g.n) if v not in seen]
+
+
 def _cut_orders(g: WeightedGraph, positives: list[int],
                 dual_lengths: list[float] | None) -> list[list[int]]:
     orders: list[list[int]] = []
     for s in _bfs_sources(g, positives):
         _, order = _tree_from(g, s, None)
-        if len(order) == g.n:
-            orders.append(order)
-        else:  # disconnected host: append the rest in id order
-            rest = [v for v in range(g.n) if v not in set(order)]
-            orders.append(order + rest)
+        orders.append(_completed(g, order))
     w = g.weights
     ids = list(range(g.n))
     orders.append(sorted(ids, key=lambda v: (w[v], v)))
@@ -622,9 +626,7 @@ def _cut_orders(g: WeightedGraph, positives: list[int],
         cost = [x + 1e-9 for x in dual_lengths]
         for s in _bfs_sources(g, positives):
             _, order = _tree_from(g, s, cost)
-            if len(order) < g.n:
-                order = order + [v for v in range(g.n) if v not in set(order)]
-            orders.append(order)
+            orders.append(_completed(g, order))
     return orders
 
 

@@ -341,10 +341,13 @@ def verify_certificate(g: WeightedGraph,
 
 def greedy_cover(g: WeightedGraph, vertices: Iterable[int],
                  radius: int) -> list[int]:
-    """Greedy maximal subset of `vertices` with pairwise distance > radius.
+    """Greedy centers among `vertices`: each input vertex is within `radius`.
 
-    Every vertex of the input ends up within `radius` hops of a chosen
-    center (so certainly within 2 * radius, the contract callers rely on).
+    Scans `vertices` in id order.  An unmarked vertex becomes a center and
+    marks the unmarked vertices its search reaches within `radius` hops;
+    the search does not pass through vertices already marked.  So every
+    input vertex ends up within `radius` of a center, but two centers may
+    be `radius` or fewer hops apart.
     """
     if radius < 0:
         raise GraphError("radius must be nonnegative")

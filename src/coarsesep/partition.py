@@ -2,9 +2,15 @@
 
 `sparse_partition` builds connected clusters of small strong diameter with
 exponentially shifted BFS (each vertex draws a capped exponential head
-start; clusters are the resulting Voronoi cells).  The cap guarantees the
-diameter contract unconditionally; how well balls of radius 2 spread over
-few clusters is measured, not enforced.
+start; clusters are the resulting Voronoi cells).  The cap alone
+guarantees the diameter contract (Miller, Peng and Xu, SPAA 2013), so each
+cell is measured once, for its strong diameter and center, and never
+re-split; how well balls of radius 2 spread over few clusters is measured,
+not enforced.
+
+`close_cluster_pairs` counts the cluster pairs at quotient distance <= 2
+and answers single queries from the quotient adjacency; the pairs
+themselves are never stored.
 
 `star_partition` peels low-degree vertices into singletons and covers the
 dense residual with a greedy dominating set, giving radius-1 clusters.
@@ -17,7 +23,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graph import (GraphError, QuotientGraph, WeightedGraph,
                     connected_components, quotient)
@@ -84,44 +90,20 @@ def _cluster_metrics(g: WeightedGraph, cluster: tuple[int, ...]) -> tuple[int, i
     return diam, center
 
 
-def _split_to_radius(g: WeightedGraph, cluster: Iterable[int],
-                     radius: int) -> list[list[int]]:
-    """Split a vertex set into connected pieces of BFS radius <= radius."""
-    remaining = set(cluster)
-    pieces = []
-    while remaining:
-        seed = min(remaining)
-        piece = {seed}
-        frontier = [seed]
-        for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for v in g.adj[u]:
-                    if v in remaining and v not in piece:
-                        piece.add(v)
-                        nxt.append(v)
-            if not nxt:
-                break
-            frontier = nxt
-        remaining -= piece
-        pieces.append(sorted(piece))
-    return pieces
-
-
 def sparse_partition(g: WeightedGraph, eps: float,
                      rng: random.Random | None = None) -> ConnectedPartition:
     """Connected partition with strong diameter at most ceil(32/eps).
 
     Every vertex draws an Exp(eps/8) head start capped at 16/eps and the
     clusters are the Voronoi cells of the shifted BFS (ties by vertex id).
-    The cap bounds each cell's tree radius by 16/eps, so the diameter
-    contract holds by construction; a layer re-split backs it up.
+    The bound holds by construction: v is popped at key <= -shift[v] <= 0,
+    so its depth in its owner's tree is at most shift[owner] <= 16/eps, and
+    that tree lies inside the cell.
     """
     if not (0 < eps <= 1):
         raise GraphError("eps must lie in (0, 1]")
     if rng is None:
         rng = random.Random(0)
-    bound = math.ceil(32.0 / eps)
     cap = 16.0 / eps
     n = g.n
     if n == 0:
@@ -131,7 +113,6 @@ def sparse_partition(g: WeightedGraph, eps: float,
     # Multi-source Dijkstra on keys dist(u, c) - shift[c]; owner follows the
     # relaxing neighbor, so every cell is a tree and hence connected.
     owner = [-1] * n
-    key = [0.0] * n
     heap = [(-shift[v], v, v) for v in range(n)]
     heapq.heapify(heap)
     assigned = 0
@@ -140,7 +121,6 @@ def sparse_partition(g: WeightedGraph, eps: float,
         if owner[v] != -1:
             continue
         owner[v] = owner[src] if owner[src] != -1 else src
-        key[v] = k
         assigned += 1
         for u in g.adj[v]:
             if owner[u] == -1:
@@ -148,20 +128,10 @@ def sparse_partition(g: WeightedGraph, eps: float,
     by_owner: dict[int, list[int]] = {}
     for v in range(n):
         by_owner.setdefault(owner[v], []).append(v)
-    raw = [sorted(vs) for _, vs in sorted(by_owner.items())]
-    clusters: list[list[int]] = []
-    for cl in raw:
-        diam, _ = _cluster_metrics(g, tuple(cl))
-        if diam <= bound:
-            clusters.append(cl)
-        else:  # pragma: no cover - unreachable with the cap, kept as a guard
-            clusters.extend(_split_to_radius(g, cl, int(cap)))
-    metrics = [_cluster_metrics(g, tuple(cl)) for cl in clusters]
-    strong = max((d for d, _ in metrics), default=0)
-    if strong > bound:  # pragma: no cover - contract guard
-        raise GraphError("strong diameter bound violated after re-split")
-    return ConnectedPartition(tuple(tuple(cl) for cl in clusters),
-                              tuple(c for _, c in metrics), strong)
+    clusters = tuple(tuple(vs) for _, vs in sorted(by_owner.items()))
+    metrics = [_cluster_metrics(g, cl) for cl in clusters]
+    return ConnectedPartition(clusters, tuple(c for _, c in metrics),
+                              max(d for d, _ in metrics))
 
 
 def max_ball2_clusters(g: WeightedGraph, part: ConnectedPartition) -> int:
@@ -189,45 +159,36 @@ def max_ball2_clusters(g: WeightedGraph, part: ConnectedPartition) -> int:
 
 @dataclass(frozen=True)
 class ClusterClosePairs:
-    """Ordered pairs of clusters at quotient-graph distance <= 2.
+    """The relation "quotient-graph distance <= 2" on clusters.
 
-    Symmetric and reflexive by construction; `neighbors[i]` lists every j
-    with (i, j) in the set, including i itself.
+    Symmetric and reflexive.  `len()` is the number of ordered close pairs;
+    `close(i, j)` answers from the quotient adjacency `rows` (i equals j,
+    is adjacent to j, or shares a neighbor with it), so no pair is stored.
     """
 
-    pairs: frozenset[tuple[int, int]]
-    neighbors: tuple[tuple[int, ...], ...]
+    rows: tuple[frozenset[int], ...]
+    size: int
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.size
 
     def close(self, i: int, j: int) -> bool:
-        return (i, j) in self.pairs
+        rows = self.rows
+        return i == j or j in rows[i] or not rows[i].isdisjoint(rows[j])
 
 
 def close_cluster_pairs(q: QuotientGraph) -> ClusterClosePairs:
-    """All ordered cluster pairs within distance 2 of each other.
+    """The relation of cluster pairs within distance 2 of each other.
 
     Distance is measured in the quotient graph itself (two clusters one
     intermediate cluster apart count as close no matter how wide that
     intermediate cluster is), which is the relation the rounding step's
     spread check needs.
     """
-    qg = q.graph
-    k = qg.n
-    pairs: set[tuple[int, int]] = set()
-    for i in range(k):
-        pairs.add((i, i))
-        for j in qg.adj[i]:
-            pairs.add((i, j))
-            for l in qg.adj[j]:
-                if l != i:
-                    pairs.add((i, l))
-    nbrs: list[list[int]] = [[] for _ in range(k)]
-    for i, j in sorted(pairs):
-        nbrs[i].append(j)
-    return ClusterClosePairs(frozenset(pairs),
-                             tuple(tuple(x) for x in nbrs))
+    rows = tuple(frozenset(a) for a in q.graph.adj)
+    size = sum(len(row.union((i,), *(rows[j] for j in row)))
+               for i, row in enumerate(rows))
+    return ClusterClosePairs(rows, size)
 
 
 # ---------------------------------------------------------------------------

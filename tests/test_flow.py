@@ -13,6 +13,7 @@ from coarsesep import (
     balanced_separator_or_flow,
     connected_components,
     flow_or_sparse_cut,
+    make_separation,
 )
 from coarsesep.generators import (
     barbell_graph,
@@ -22,7 +23,7 @@ from coarsesep.generators import (
     grid_graph,
     path_graph,
 )
-from coarsesep.flow import _tree_congestion, _tree_from
+from coarsesep.flow import _cut_orders, _tree_congestion, _tree_from
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -182,6 +183,27 @@ def test_check_walks_every_tree_path():
     res.trees[0][2] = 3  # 3 -> 2 -> 3 never gets back to source 0
     with pytest.raises(FlowError, match="does not lead"):
         res.check()
+
+
+def test_cut_orders_cover_a_host_with_isolated_vertices():
+    # a unit-weight path plus isolated zero-weight vertices: no BFS or
+    # Dijkstra order from the path reaches the isolated ones
+    n = 10
+    g = WeightedGraph(2 * n, [(i, i + 1) for i in range(n - 1)],
+                      [1.0] * n + [0.0] * n)
+    plain = _cut_orders(g, list(range(n)), None)
+    dual = _cut_orders(g, list(range(n)), [0.5] * g.n)
+    assert len(dual) > len(plain)
+    for order in plain + dual:
+        assert sorted(order) == list(range(g.n))
+    # gamma 0.5 goes straight to the sweep; at gamma 18, the endpoint bound,
+    # the tree flow fails and the sweep also walks the LP's dual lengths
+    for gamma in (0.5, 18.0):
+        res = flow_or_sparse_cut(g, gamma)
+        assert isinstance(res, Separation)
+        again = make_separation(g, res.side_a, res.side_b)
+        assert again.sparsity == res.sparsity
+        assert res.sparsity <= 64.0 * math.log(g.n) / gamma
 
 
 def test_separation_objects_are_sound():

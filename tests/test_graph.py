@@ -145,6 +145,11 @@ def test_greedy_cover_radius_contract():
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             assert set_distance(g, {a}, {b}) > 3
+    # here centers may lie within the radius of each other (3 and 4 are
+    # both chosen), so only coverage is promised
+    g = WeightedGraph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    target = {0, 3, 4}
+    assert coverage_radius(g, target, greedy_cover(g, target, 2)) <= 2
 
 
 def test_coverage_radius_empty_and_unreachable():

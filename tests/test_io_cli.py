@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,7 +19,12 @@ from coarsesep.fileio import (
     write_model,
     write_weights,
 )
-from coarsesep.generators import gnp_graph, grid_graph
+from coarsesep.generators import (
+    gnp_graph,
+    grid_graph,
+    path_graph,
+    random_regular_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +305,79 @@ def test_cli_weights_option(tmp_path, capsys):
 def test_format_graph_is_stable():
     g = WeightedGraph(3, [(2, 1), (0, 1)])
     assert format_graph(g) == "3 2\n0 1\n1 2\n"
+
+
+# Expected stdout of fixed invocations, captured once from the CLI and pinned
+# here so that a refactor which changes a single byte fails.  Short outputs
+# are stored as text, long ones as "sha256:<hex digest>".  "{x}" stands for
+# the input file x written in `test_cli_output_is_byte_identical_to_golden`.
+_GOLDEN = [
+    (["gen", "--family", "path", "--n", "6"],
+     "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"),
+    (["gen", "--family", "cycle", "--n", "6"],
+     "6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"),
+    (["gen", "--family", "clique", "--n", "5"],
+     "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
+    (["gen", "--family", "grid", "--rows", "3", "--cols", "4"],
+     "12 17\n0 1\n0 4\n1 2\n1 5\n2 3\n2 6\n3 7\n4 5\n4 8\n5 6\n5 9\n6 7\n"
+     "6 10\n7 11\n8 9\n9 10\n10 11\n"),
+    (["gen", "--family", "grid", "--n", "3"],
+     "9 12\n0 1\n0 3\n1 2\n1 4\n2 5\n3 4\n3 6\n4 5\n4 7\n5 8\n6 7\n7 8\n"),
+    (["gen", "--family", "torus", "--n", "4"],
+     "sha256:530c29ca6410a1ad1383827c11c931e4464b6064efecd719d7a708f84ab54130"),
+    (["gen", "--family", "gnp", "--n", "20", "--p", "0.2", "--seed", "3"],
+     "sha256:67b307f0b60b056a9c67e9955298224197ab81ce73cdf948fb20a2cc610b1ebc"),
+    (["gen", "--family", "regular", "--n", "20", "--seed", "1"],
+     "sha256:b754c548b28ffbe322c016b96de80d7fe2752445b7a21c6d28f22ea59fc2e21b"),
+    (["gen", "--family", "barbell", "--n", "4", "--bridge", "2"],
+     "10 15\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n5 6\n6 7\n6 8\n6 9\n"
+     "7 8\n7 9\n8 9\n"),
+    (["partition", "{reg}", "--seed", "1", "--json"],
+     "sha256:82f77aff9f4fe40943e823a34e9a6255701130ffe967c6310793c77212442d40"),
+    (["partition", "{gnp}", "--seed", "4", "--json"],
+     "sha256:86b8669c59aa5a9dcc35b973668a12aad9466d448affd0f8012284a4586d8def"),
+    (["separate", "{reg}", "--pattern", "{k3}", "--fatness", "5", "--eps",
+      "0.5", "--json"],
+     "sha256:d24090168d09d44122889878f7d703086a56d846f0805f046065829b73da606a"),
+    (["separate", "{grid}", "--pattern", "{k3}", "--json"],
+     "sha256:ae2bdc05c384cc92ab2fd4cb778cf33057ffe7089b1d2aec62084dfff2a6206c"),
+    # a fat model found by rounding, which runs the close-pairs spread check
+    (["separate", "{path}", "--pattern", "{k2}", "--gamma-override", "1e15",
+      "--json"],
+     "sha256:291f971ec1517bfd82a6f00d076fbacd9235b7bd9591be6917be5d347f773d51"),
+    (["induced-sep", "{gnp}", "--json"],
+     "sha256:ad291545c7ffe2f45284605838f1d6a297d010726d75487cb0f37821eb281ea0"),
+    (["bench", "--family", "grid", "--sizes", "5,7"],
+     "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
+     "25,separator,14,1,6,,True\r\n49,separator,23,1,9,,True\r\n"),
+    (["bench", "--family", "cycle", "--sizes", "30"],
+     "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
+     "30,separator,12,1,15,,True\r\n"),
+    (["bench", "--family", "path", "--sizes", "30"],
+     "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
+     "30,separator,12,1,18,,True\r\n"),
+    (["bench", "--family", "regular", "--sizes", "40"],
+     "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
+     "40,separator,21,1,6,,True\r\n"),
+    (["bench", "--family", "gnp", "--sizes", "40", "--p", "0.1"],
+     "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
+     "40,separator,24,1,3,,True\r\n"),
+]
+
+
+def test_cli_output_is_byte_identical_to_golden(tmp_path, capsys):
+    files = {"reg": random_regular_graph(300, 3, 2), "grid": grid_graph(10),
+             "path": path_graph(1200), "gnp": gnp_graph(60, 0.1, seed=5)}
+    paths = {}
+    for name, g in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        write_graph(g, paths[name])
+    for name, text in (("k2", "2 1\n0 1\n"), ("k3", "3 3\n0 1\n1 2\n0 2\n")):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    for argv, expected in _GOLDEN:
+        code, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 0, argv
+        if expected.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected, argv

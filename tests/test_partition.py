@@ -6,10 +6,12 @@ import pytest
 from coarsesep import (
     GraphError,
     WeightedGraph,
+    bfs_distances,
     close_cluster_pairs,
     greedy_dominating_set,
     max_ball2_clusters,
     peel_threshold,
+    power,
     quotient,
     sparse_partition,
     star_partition,
@@ -118,8 +120,35 @@ def test_close_pairs_neighbors_are_sorted_rows():
     g = path_graph(5)
     q = quotient(g, [(i,) for i in range(5)])
     close = close_cluster_pairs(q)
-    assert close.neighbors[0] == (0, 1, 2)
-    assert close.neighbors[2] == (0, 1, 2, 3, 4)
+    assert [j for j in range(5) if close.close(0, j)] == [0, 1, 2]
+    assert [j for j in range(5) if close.close(2, j)] == [0, 1, 2, 3, 4]
+
+
+def _close_quotients():
+    yield quotient(path_graph(9), [(i,) for i in range(9)])
+    yield quotient(path_graph(13), [(0, 1), tuple(range(2, 11)), (11, 12)])
+    yield quotient(cycle_graph(6), [(0, 1), (2, 3), (4, 5)])
+    yield quotient(cycle_graph(30), [tuple(range(i, i + 3))
+                                     for i in range(0, 30, 3)])
+    two = WeightedGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    yield quotient(two, [(0, 1, 2), (3, 4, 5)])
+    yield quotient(WeightedGraph(4, [(0, 1)]), [(0, 1), (2,), (3,)])
+    g = power(random_regular_graph(600, 3, seed=1), 2)
+    part = sparse_partition(g, 1.0, random.Random(3))
+    yield quotient(g, part.clusters)
+
+
+def test_close_pairs_match_quotient_bfs():
+    for q in _close_quotients():
+        close = close_cluster_pairs(q)
+        k = q.graph.n
+        dist = [bfs_distances(q.graph, [i]) for i in range(k)]
+        expected = {(i, j) for i in range(k) for j in range(k)
+                    if dist[i][j] <= 2}
+        assert len(close) == len(expected)
+        for i in range(k):
+            for j in range(k):
+                assert close.close(i, j) == ((i, j) in expected), (i, j)
 
 
 # ---------------------------------------------------------------------------
