@@ -15,9 +15,8 @@ from .fatminor import (CrudeFatModel, FatModel, LiftError, ModelError,
                        sample_crude_model, two_subdivision,
                        verify_crude_model, verify_fat_model)
 from .flow import (BalancedSeparatorResult, ConcurrentFlow, FlowCutError,
-                   FlowError, HeavyFlowResult, SplitInstance,
-                   balanced_separator_or_flow, build_split_instance,
-                   congestion, flow_or_sparse_cut)
+                   FlowError, HeavyFlowResult, balanced_separator_or_flow,
+                   flow_or_sparse_cut)
 from .graph import (GraphError, QuotientGraph, Separation,
                     SeparatorCertificate, SeparatorReport, WeightedGraph,
                     ball, bfs_distances, connected_components,
@@ -42,18 +41,17 @@ __all__ = [
     "FlowError", "GraphError", "HeavyFlowResult", "LiftError", "ModelError",
     "ModelFound", "ModelReport", "PatternGraph", "PipelineConfig",
     "PipelineFailure", "QuotientGraph", "Separation", "SeparatorCertificate",
-    "SeparatorFound", "SeparatorReport", "SplitInstance", "SubdividedPattern",
-    "WeightedGraph", "ball", "balanced_separator_or_flow", "bfs_distances",
-    "brute_force_fat_minor", "build_split_instance", "close_cluster_pairs",
-    "coarse_separator_or_model", "congestion", "connected_components",
-    "core_3fat", "coverage_radius", "crude_to_fat", "ensure_fat_model",
+    "SeparatorFound", "SeparatorReport", "SubdividedPattern", "WeightedGraph",
+    "ball", "balanced_separator_or_flow", "bfs_distances",
+    "brute_force_fat_minor", "close_cluster_pairs",
+    "coarse_separator_or_model", "connected_components", "core_3fat",
+    "coverage_radius", "crude_to_fat", "ensure_fat_model",
     "ensure_no_isolated", "exact_min_balanced_separator",
-    "exact_sparsest_separation", "flow_or_sparse_cut",
-    "greedy_dominating_set", "greedy_cover", "induced_minor_separator",
-    "induced_subgraph", "lift_model", "make_separation", "max_ball2_clusters",
-    "peel_threshold", "power", "power_model_to_base", "quotient",
-    "restrict_model", "sample_crude_model", "set_distance",
-    "sparse_partition", "star_partition", "two_subdivision",
-    "verify_certificate", "verify_crude_model", "verify_fat_model",
-    "verify_separator",
+    "exact_sparsest_separation", "flow_or_sparse_cut", "greedy_dominating_set",
+    "greedy_cover", "induced_minor_separator", "induced_subgraph",
+    "lift_model", "make_separation", "max_ball2_clusters", "peel_threshold",
+    "power", "power_model_to_base", "quotient", "restrict_model",
+    "sample_crude_model", "set_distance", "sparse_partition", "star_partition",
+    "two_subdivision", "verify_certificate", "verify_crude_model",
+    "verify_fat_model", "verify_separator",
 ]

@@ -7,7 +7,7 @@ gamma, between
   pair of positive-weight vertices) whose vertex congestion stays at or
   below gamma, and
 * a separation (A, B) whose sparsity |A n B| / (w(A) w(B)) is at most
-  cut_constant * ln(n) / gamma.
+  CUT_CONSTANT * ln(n) / gamma.
 
 Flows are searched first with congestion-aware shortest-path-tree routing,
 then (on small graphs) with an exact linear program on the standard
@@ -38,8 +38,11 @@ from typing import Iterator, Sequence
 from .graph import (GraphError, Separation, WeightedGraph,
                     connected_components, induced_subgraph, make_separation)
 
-DEFAULT_CUT_CONSTANT = 64.0
-_LP_MAX_N = 36
+# c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
+# gap (Leighton and Rao, JACM 1999)
+CUT_CONSTANT = 64.0
+_LP_MAX_N = 36  # the exact LP runs on hosts up to this many vertices
+_TREE_ROUNDS = 3  # routing rounds, each against the last one's congestion
 _REL_TOL = 1e-9
 
 
@@ -183,57 +186,6 @@ class ConcurrentFlow:
                         f"demand ({u}, {v}): routed {got}, want {want}")
 
 
-def congestion(flow: ConcurrentFlow, v: int) -> float:
-    return flow.congestion(v)
-
-
-# ---------------------------------------------------------------------------
-# Vertex-splitting digraph
-
-
-@dataclass(frozen=True)
-class SplitInstance:
-    """Directed graph splitting each vertex u into (in_u -> out_u).
-
-    The splitting arc carries capacity one; every other arc gets the same
-    harmless large capacity.  Demand weight sits on in-nodes only, and each
-    demand is routed in-node to out-node, so both endpoints of a routed
-    pair pay their own unit capacity.
-    """
-
-    base_n: int
-    arcs: tuple[tuple[int, int, float], ...]
-    demand_weight: tuple[float, ...]
-
-    @staticmethod
-    def in_node(u: int) -> int:
-        return 2 * u
-
-    @staticmethod
-    def out_node(u: int) -> int:
-        return 2 * u + 1
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.base_n
-
-
-def build_split_instance(g: WeightedGraph) -> SplitInstance:
-    big = g.n * g.n * g.total_weight + 1.0
-    arcs: list[tuple[int, int, float]] = []
-    for u in range(g.n):  # unit arcs first: arc index u is vertex u
-        arcs.append((SplitInstance.in_node(u), SplitInstance.out_node(u), 1.0))
-    for u in range(g.n):
-        arcs.append((SplitInstance.out_node(u), SplitInstance.in_node(u), big))
-    for u, v in g.edges():
-        arcs.append((SplitInstance.out_node(u), SplitInstance.in_node(v), big))
-        arcs.append((SplitInstance.out_node(v), SplitInstance.in_node(u), big))
-    demand = [0.0] * (2 * g.n)
-    for u in range(g.n):
-        demand[SplitInstance.in_node(u)] = g.weights[u]
-    return SplitInstance(g.n, tuple(arcs), tuple(demand))
-
-
 # ---------------------------------------------------------------------------
 # Flow search: shortest-path-tree routing
 
@@ -303,14 +255,14 @@ def _tree_congestion(g: WeightedGraph, positives: list[int],
     return cong
 
 
-def _attempt_tree_flow(g: WeightedGraph, gamma: float, positives: list[int],
-                       rounds: int = 3) -> ConcurrentFlow | None:
+def _attempt_tree_flow(g: WeightedGraph, gamma: float,
+                       positives: list[int]) -> ConcurrentFlow | None:
     """Try to route all demands at congestion <= gamma on source trees."""
     pw = g.weight_of(positives)
     best: dict[int, tuple[list[int], list[int]]] | None = None
     best_cong = math.inf
     cost: list[float] | None = None
-    for _ in range(rounds):
+    for _ in range(_TREE_ROUNDS):
         trees = {s: _tree_from(g, s, cost) for s in positives}
         cong = _tree_congestion(g, positives, trees, pw)
         top = max(cong)
@@ -330,11 +282,18 @@ def _attempt_tree_flow(g: WeightedGraph, gamma: float, positives: list[int],
 
 # ---------------------------------------------------------------------------
 # Exact throughput LP on the split digraph
+#
+# Vertex u becomes the nodes in_u = 2u and out_u = 2u + 1, joined by the
+# splitting arc in_u -> out_u and the back arc out_u -> in_u; every edge
+# {u, v} becomes the arcs out_u -> in_v and out_v -> in_u.  Each demand
+# leaves its source's in-node and ends at its target's out-node, so both
+# endpoints pay their own unit capacity.
 
 
 @dataclass
 class _LpOutcome:
     throughput: float
+    arcs: list[tuple[int, int]]  # (tail, head); arc u is u's splitting arc
     source_arc_flow: dict[int, list[float]]
     dual_lengths: list[float] | None
 
@@ -344,19 +303,21 @@ def _solve_throughput_lp(g: WeightedGraph, positives: list[int]) -> _LpOutcome:
 
     Flow variables are aggregated per source vertex; only the splitting
     arcs carry capacity rows (every path through the digraph must use the
-    splitting arcs of both endpoints, so the large arcs never bind).
+    splitting arcs of both endpoints, so no other arc can bind).
     """
     import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
 
-    inst = build_split_instance(g)
-    arcs = [(t, h) for t, h, _ in inst.arcs]
+    arcs = [(2 * u, 2 * u + 1) for u in range(g.n)]  # splitting arcs first
+    arcs += [(2 * u + 1, 2 * u) for u in range(g.n)]
+    for u, v in g.edges():
+        arcs += [(2 * u + 1, 2 * v), (2 * v + 1, 2 * u)]
     n_arcs = len(arcs)
     p = len(positives)
     pw = g.weight_of(positives)
     w = g.weights
-    n_nodes = inst.n_nodes
+    n_nodes = 2 * g.n
     nvar = p * n_arcs + 1
     q_col = nvar - 1
 
@@ -374,12 +335,12 @@ def _solve_throughput_lp(g: WeightedGraph, positives: list[int]) -> _LpOutcome:
             cols.append(base_col + ai)
             vals.append(-1.0)
         # net supply q * w(s) * w(t) from s_in to every t_out
-        rows.append(base_row + SplitInstance.in_node(s))
+        rows.append(base_row + 2 * s)
         cols.append(q_col)
         vals.append(-(w[s] * (pw - w[s])))
         for t in positives:
             if t != s:
-                rows.append(base_row + SplitInstance.out_node(t))
+                rows.append(base_row + 2 * t + 1)
                 cols.append(q_col)
                 vals.append(w[s] * w[t])
     a_eq = sparse.coo_matrix((vals, (rows, cols)),
@@ -411,7 +372,7 @@ def _solve_throughput_lp(g: WeightedGraph, positives: list[int]) -> _LpOutcome:
     for si, s in enumerate(positives):
         per_source[s] = [float(x) for x in
                          res.x[si * n_arcs:(si + 1) * n_arcs]]
-    return _LpOutcome(float(res.x[q_col]), per_source, duals)
+    return _LpOutcome(float(res.x[q_col]), arcs, per_source, duals)
 
 
 def _decompose_arc_flow(arcs: list[tuple[int, int]], flow: list[float],
@@ -474,7 +435,6 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
     """Turn the LP solution at throughput q* into a unit-throughput flow."""
     q = outcome.throughput
     w = g.weights
-    inst_arcs = [(t, h) for t, h, _ in build_split_instance(g).arcs]
     index: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
     grouped: dict[tuple[int, int], list[tuple[tuple[int, ...], float]]] = {}
     for s in positives:
@@ -482,7 +442,7 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
         scale = max(arc_flow) if arc_flow else 0.0
         eps = max(scale, 1.0) * 1e-11
         for nodes, amount in _decompose_arc_flow(
-                inst_arcs, arc_flow, SplitInstance.in_node(s), eps):
+                outcome.arcs, arc_flow, 2 * s, eps):
             verts: list[int] = []
             for node in nodes:
                 u = node // 2
@@ -491,7 +451,7 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
             if len(verts) < 2:
                 continue
             t = verts[-1]
-            if nodes[-1] != SplitInstance.out_node(t) or w[t] <= 0:
+            if nodes[-1] != 2 * t + 1 or w[t] <= 0:
                 continue
             grouped.setdefault((s, t), []).append((tuple(verts), amount))
     for u in positives:
@@ -546,8 +506,8 @@ def _sweep_order(g: WeightedGraph, order: list[int],
     return best
 
 
-def _prefix_separation(g: WeightedGraph, order: list[int], length: int,
-                       cut_constant: float) -> Separation:
+def _prefix_separation(g: WeightedGraph, order: list[int],
+                       length: int) -> Separation:
     u_set = set(order[:length])
     boundary = set()
     for v in u_set:
@@ -556,7 +516,7 @@ def _prefix_separation(g: WeightedGraph, order: list[int], length: int,
                 boundary.add(y)
     side_a = u_set | boundary
     side_b = set(range(g.n)) - u_set
-    return make_separation(g, side_a, side_b, cut_constant)
+    return make_separation(g, side_a, side_b)
 
 
 def _fiedler_order(g: WeightedGraph) -> list[int] | None:
@@ -610,8 +570,9 @@ def _completed(g: WeightedGraph, order: list[int]) -> list[int]:
 
 def _cut_orders(g: WeightedGraph, positives: list[int],
                 dual_lengths: list[float] | None) -> list[list[int]]:
+    sources = _bfs_sources(g, positives)
     orders: list[list[int]] = []
-    for s in _bfs_sources(g, positives):
+    for s in sources:
         _, order = _tree_from(g, s, None)
         orders.append(_completed(g, order))
     w = g.weights
@@ -624,14 +585,13 @@ def _cut_orders(g: WeightedGraph, positives: list[int],
         orders.append(fiedler[::-1])
     if dual_lengths is not None and any(x > 1e-12 for x in dual_lengths):
         cost = [x + 1e-9 for x in dual_lengths]
-        for s in _bfs_sources(g, positives):
+        for s in sources:
             _, order = _tree_from(g, s, cost)
             orders.append(_completed(g, order))
     return orders
 
 
 def _best_sweep_separation(g: WeightedGraph, positives: list[int],
-                           cut_constant: float,
                            dual_lengths: list[float] | None
                            ) -> Separation | None:
     total = g.total_weight
@@ -642,22 +602,20 @@ def _best_sweep_separation(g: WeightedGraph, positives: list[int],
             best = (hit[0], order, hit[1])
     if best is None:
         return None
-    return _prefix_separation(g, best[1], best[2], cut_constant)
+    return _prefix_separation(g, best[1], best[2])
 
 
 # ---------------------------------------------------------------------------
 # The dichotomy
 
 
-def flow_or_sparse_cut(g: WeightedGraph, gamma: float,
-                       cut_constant: float = DEFAULT_CUT_CONSTANT,
-                       lp_max_n: int = _LP_MAX_N
+def flow_or_sparse_cut(g: WeightedGraph, gamma: float
                        ) -> ConcurrentFlow | Separation:
     """Concurrent flow at congestion <= gamma, or a sparse separation.
 
-    A returned separation has sparsity at most cut_constant * ln(n) / gamma
-    (recorded on the object).  Raises FlowCutError when neither side can be
-    certified, which on sound inputs only signals solver non-convergence.
+    A returned separation has sparsity at most CUT_CONSTANT * ln(n) / gamma.
+    Raises FlowCutError when neither side can be certified, which on sound
+    inputs only signals solver non-convergence.
     """
     if not math.isfinite(gamma) or gamma <= 0:
         raise GraphError(f"gamma must be positive and finite, got {gamma}")
@@ -665,7 +623,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float,
     positives = [v for v in range(g.n) if w[v] > 0]
     if len(positives) < 2:
         return ConcurrentFlow.empty(g)
-    bound = cut_constant * math.log(max(g.n, 2)) / gamma
+    bound = CUT_CONSTANT * math.log(max(g.n, 2)) / gamma
 
     comps = connected_components(g)
     pos_comp = [c for c in comps if any(w[v] > 0 for v in c)]
@@ -674,39 +632,31 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float,
         # split is a separation of sparsity 0
         side_a = set(pos_comp[0])
         side_b = set(range(g.n)) - side_a
-        return make_separation(g, side_a, side_b, cut_constant)
+        return make_separation(g, side_a, side_b)
 
     pw = g.weight_of(positives)
     endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
     dual_lengths: list[float] | None = None
-    lp_done = False
     if gamma * (1 + _REL_TOL) >= endpoint_lb:
         flow = _attempt_tree_flow(g, gamma, positives)
         if flow is not None:
             return flow
-        if g.n <= lp_max_n:
+        if g.n <= _LP_MAX_N:
             outcome = _solve_throughput_lp(g, positives)
-            lp_done = True
             dual_lengths = outcome.dual_lengths
             if outcome.throughput * gamma >= 1.0 - 1e-9:
                 lp_flow = _flow_from_lp(g, positives, outcome)
                 if lp_flow.max_congestion() <= gamma * (1 + 1e-7):
                     return lp_flow
 
-    sep = _best_sweep_separation(g, positives, cut_constant, dual_lengths)
+    # Below the endpoint bound no flow exists and the LP is not needed: the
+    # weight-ascending order's last prefix cuts off a heaviest vertex t at
+    # sparsity 1 / (W w(t)), while gamma < endpoint_lb <= 2 w(t) W makes the
+    # bound exceed 32 ln(n) / (W w(t)).  So this one sweep always succeeds
+    # there, and no second LP pass could ever run after it.
+    sep = _best_sweep_separation(g, positives, dual_lengths)
     if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
-
-    if not lp_done and g.n <= lp_max_n:
-        outcome = _solve_throughput_lp(g, positives)
-        if outcome.throughput * gamma >= 1.0 - 1e-9:
-            lp_flow = _flow_from_lp(g, positives, outcome)
-            if lp_flow.max_congestion() <= gamma * (1 + 1e-7):
-                return lp_flow
-        sep = _best_sweep_separation(g, positives, cut_constant,
-                                     outcome.dual_lengths)
-        if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
-            return sep
 
     raise FlowCutError(
         "no flow within the congestion budget and no sufficiently sparse "
@@ -764,8 +714,7 @@ def _check_loop_structure(g: WeightedGraph, separator: set[int],
             raise GraphError(f"edge ({u}, {v}) crosses distinct pieces")
 
 
-def balanced_separator_or_flow(g: WeightedGraph, gamma: float,
-                               cut_constant: float = DEFAULT_CUT_CONSTANT
+def balanced_separator_or_flow(g: WeightedGraph, gamma: float
                                ) -> BalancedSeparatorResult | HeavyFlowResult:
     """Peel sparse separations until the rest is light, or surface a flow.
 
@@ -773,7 +722,7 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float,
     subgraph.  A flow ends the loop with the active subgraph (its weight is
     still at least W/2); otherwise the lighter side of the separation is
     peeled off and its separator accumulated.  The accumulated separator
-    has size at most cut_constant * W^2 * ln(n) / gamma.
+    has size at most CUT_CONSTANT * W^2 * ln(n) / gamma.
     """
     total = g.total_weight
     active = list(range(g.n))
@@ -782,7 +731,7 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float,
     steps: list[Separation] = []
     while g.weight_of(active) >= total / 2.0:
         sub, ids = induced_subgraph(g, active)
-        res = flow_or_sparse_cut(sub, gamma, cut_constant)
+        res = flow_or_sparse_cut(sub, gamma)
         if isinstance(res, ConcurrentFlow):
             result = HeavyFlowResult(tuple(active), res,
                                      frozenset(sep_acc), tuple(steps))
@@ -799,13 +748,12 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float,
         a_set = set(side_a)
         b_set = set(side_b)
         steps.append(Separation(frozenset(a_set), frozenset(b_set),
-                                res.sparsity, res.cut_constant))
+                                res.sparsity))
         sep_acc.update(a_set & b_set)
         pieces.append(sorted(b_set - a_set))
-        nxt = sorted(a_set - b_set)
-        if len(nxt) == len(active):  # pragma: no cover - progress guard
-            raise FlowCutError("separation made no progress")
-        active = nxt
+        # make_separation gave both sides positive weight, so B is nonempty
+        # and the active set shrinks on every step
+        active = sorted(a_set - b_set)
     pieces.append(sorted(active))
     pieces = [p for p in pieces if p]
     _check_loop_structure(g, sep_acc, pieces)
@@ -814,7 +762,7 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float,
         if g.weight_of(comp) > half:
             raise GraphError("peeled separator failed the balance check")
     if gamma > 0 and g.n >= 2:
-        cap = cut_constant * total * total * math.log(g.n) / gamma
+        cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
         if len(sep_acc) > cap * (1 + _REL_TOL) + 1e-9:
             raise GraphError(
                 f"separator size {len(sep_acc)} exceeds the bound {cap:.3f}")

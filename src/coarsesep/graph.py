@@ -57,8 +57,9 @@ class WeightedGraph:
                 raise GraphError("weight vector length does not match n")
             ws = [float(w) for w in weights]
             for v, w in enumerate(ws):
-                if w < 0 or math.isnan(w):
-                    raise GraphError(f"negative or NaN weight at vertex {v}")
+                if w < 0 or not math.isfinite(w):
+                    raise GraphError(
+                        f"negative or non-finite weight at vertex {v}")
             self.weights = ws
         self._total = math.fsum(self.weights)
 
@@ -257,7 +258,6 @@ class Separation:
     side_a: frozenset[int]
     side_b: frozenset[int]
     sparsity: float
-    cut_constant: float | None = None
 
     @property
     def separator(self) -> frozenset[int]:
@@ -265,8 +265,7 @@ class Separation:
 
 
 def make_separation(g: WeightedGraph, side_a: Iterable[int],
-                    side_b: Iterable[int],
-                    cut_constant: float | None = None) -> Separation:
+                    side_b: Iterable[int]) -> Separation:
     """Validate (A, B) against `g` and compute its sparsity."""
     a = frozenset(side_a)
     b = frozenset(side_b)
@@ -283,7 +282,7 @@ def make_separation(g: WeightedGraph, side_a: Iterable[int],
     if wa <= 0 or wb <= 0:
         raise GraphError("both sides of a separation need positive weight")
     alpha = len(a & b) / (wa * wb)
-    return Separation(a, b, alpha, cut_constant)
+    return Separation(a, b, alpha)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .graph import (GraphError, QuotientGraph, SeparatorCertificate,
 from .partition import (ClusterClosePairs, ConnectedPartition,
                         close_cluster_pairs, sparse_partition, star_partition)
 
-_CENTER_SPACING = 32  # greedy center separation; coverage stays within it
+_CENTER_SPACING = 32  # greedy cover radius; centers may lie closer
 
 
 @dataclass
@@ -52,7 +52,6 @@ class PipelineConfig:
     eps: float = 1.0
     trials: int = 64
     seed: int = 0
-    cut_constant: float = 64.0
     congestion_override: float | None = None
 
 
@@ -94,8 +93,9 @@ def _certificate_from_clusters(g: WeightedGraph, part: ConnectedPartition,
     """Build a certificate for the union of the given clusters.
 
     Two center candidates compete: the clusters' own centers (coverage
-    within the partition's strong diameter) and a greedy spread-out subset
-    of the separator (coverage within the spacing).  The smaller set wins.
+    within the partition's strong diameter) and a greedy radius-32 cover
+    of the separator (coverage within the spacing; its centers may lie
+    closer than 32 to each other).  The smaller set wins.
     """
     ids = sorted(set(cluster_ids))
     sep: set[int] = set()
@@ -220,7 +220,7 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     else:
         gamma = total * total / (32.0 * h * math.sqrt(len(close)))
 
-    outcome = balanced_separator_or_flow(q.graph, gamma, config.cut_constant)
+    outcome = balanced_separator_or_flow(q.graph, gamma)
     if isinstance(outcome, BalancedSeparatorResult):
         cert = _certificate_from_clusters(g, part, outcome.separator)
         return _checked(g, cert, "peeling", gamma)
@@ -291,32 +291,27 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
 QuotientSeparatorOracle = Callable[[WeightedGraph], Iterable[int]]
 
 
-def _default_quotient_oracle(cut_constant: float) -> QuotientSeparatorOracle:
-    def oracle(qg: WeightedGraph) -> Iterable[int]:
-        positives = sum(1 for w in qg.weights if w > 0)
-        if positives < 2:
-            return range(qg.n)
-        gamma = qg.total_weight * qg.total_weight
-        floor = gamma * 1e-15
-        while gamma > floor:
-            try:
-                res = balanced_separator_or_flow(qg, gamma, cut_constant)
-            except FlowCutError:
-                gamma /= 4.0
-                continue
-            if isinstance(res, BalancedSeparatorResult):
-                return sorted(res.separator)
+def _default_quotient_oracle(qg: WeightedGraph) -> Iterable[int]:
+    positives = sum(1 for w in qg.weights if w > 0)
+    if positives < 2:
+        return range(qg.n)
+    gamma = qg.total_weight * qg.total_weight
+    floor = gamma * 1e-15
+    while gamma > floor:
+        try:
+            res = balanced_separator_or_flow(qg, gamma)
+        except FlowCutError:
             gamma /= 4.0
-        return range(qg.n)  # pragma: no cover - defensive fallback
-
-    return oracle
+            continue
+        if isinstance(res, BalancedSeparatorResult):
+            return sorted(res.separator)
+        gamma /= 4.0
+    return range(qg.n)  # pragma: no cover - defensive fallback
 
 
 def induced_minor_separator(g: WeightedGraph,
                             quotient_oracle: QuotientSeparatorOracle | None
-                            = None,
-                            cut_constant: float = 64.0
-                            ) -> SeparatorCertificate:
+                            = None) -> SeparatorCertificate:
     """Balanced separator covered by radius-1 balls, via a star quotient.
 
     The star partition keeps the quotient small; any balanced separator of
@@ -328,7 +323,7 @@ def induced_minor_separator(g: WeightedGraph,
     if g.n == 0:
         return SeparatorCertificate(frozenset(), (), 0)
     part, q = star_partition(g)
-    oracle = quotient_oracle or _default_quotient_oracle(cut_constant)
+    oracle = quotient_oracle or _default_quotient_oracle
     chosen = sorted(set(oracle(q.graph)))
     for i in chosen:
         if not (0 <= i < q.graph.n):

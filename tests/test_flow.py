@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from coarsesep.generators import (
     grid_graph,
     path_graph,
 )
+import coarsesep.flow as flow_module
 from coarsesep.flow import _cut_orders, _tree_congestion, _tree_from
 
 
@@ -204,6 +206,50 @@ def test_cut_orders_cover_a_host_with_isolated_vertices():
         again = make_separation(g, res.side_a, res.side_b)
         assert again.sparsity == res.sparsity
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma
+
+
+def _random_weighted_host(rng):
+    n = rng.randint(2, 36)
+    p = rng.choice([0.1, 0.2, 0.4, 0.8])
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    kind = rng.choice(["unit", "integer", "skewed", "zeros"])
+    if kind == "unit":
+        w = [1.0] * n
+    elif kind == "integer":
+        w = [float(rng.randint(1, 9)) for _ in range(n)]
+    elif kind == "skewed":
+        w = [10 ** rng.uniform(-6, 6) for _ in range(n)]
+    else:
+        w = [0.0 if rng.random() < 0.4 else float(rng.randint(1, 5))
+             for _ in range(n)]
+    return WeightedGraph(n, edges, w)
+
+
+def test_sweep_alone_answers_below_the_endpoint_bound(monkeypatch):
+    # Below max_v 2 w(v) (W - w(v)) neither the tree routing nor the LP may
+    # run: the weight-ascending order's last prefix cuts off a heaviest
+    # vertex t at sparsity 1 / (W w(t)), under the bound 64 ln(n) / gamma.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("flow search ran below the endpoint bound")
+
+    monkeypatch.setattr(flow_module, "_solve_throughput_lp", unreachable)
+    monkeypatch.setattr(flow_module, "_attempt_tree_flow", unreachable)
+    rng = random.Random(7)
+    tried = 0
+    while tried < 300:
+        g = _random_weighted_host(rng)
+        w = g.weights
+        positives = [v for v in range(g.n) if w[v] > 0]
+        if len(positives) < 2:
+            continue
+        tried += 1
+        pw = g.weight_of(positives)
+        endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
+        gamma = endpoint_lb * rng.choice([1e-6, 0.01, 0.5, 0.99, 0.999])
+        res = flow_or_sparse_cut(g, gamma)
+        assert isinstance(res, Separation)
+        assert res.sparsity <= 64.0 * math.log(g.n) / gamma * (1 + 1e-9)
 
 
 def test_separation_objects_are_sound():

@@ -56,6 +56,14 @@ def test_with_weights():
     assert g.weight_of([0, 2]) == 7.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_weights_must_be_finite(bad):
+    with pytest.raises(GraphError, match="non-finite weight at vertex 0"):
+        WeightedGraph(2, [(0, 1)], [bad, 1.0])
+    with pytest.raises(GraphError, match="non-finite weight at vertex 2"):
+        path_graph(3).with_weights([1.0, 1.0, bad])
+
+
 def test_bfs_distances_multi_source():
     g = path_graph(6)
     dist = bfs_distances(g, [0, 5])
@@ -102,13 +110,13 @@ def test_induced_subgraph_relabels():
 
 def test_make_separation_and_sparsity():
     g = path_graph(3)
-    sep = make_separation(g, {0, 1}, {1, 2}, 64.0)
+    sep = make_separation(g, {0, 1}, {1, 2})
     assert sorted(sep.separator) == [1]
     assert sep.sparsity == pytest.approx(1 / 4)
     with pytest.raises(GraphError):
-        make_separation(g, {0}, {2}, 64.0)  # does not cover vertex 1
+        make_separation(g, {0}, {2})  # does not cover vertex 1
     with pytest.raises(GraphError):
-        make_separation(g, {0, 1}, {2}, 64.0)  # edge (1, 2) crosses
+        make_separation(g, {0, 1}, {2})  # edge (1, 2) crosses
 
 
 def test_verify_separator_balance_and_coverage():

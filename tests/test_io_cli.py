@@ -20,10 +20,12 @@ from coarsesep.fileio import (
     write_weights,
 )
 from coarsesep.generators import (
+    cycle_graph,
     gnp_graph,
     grid_graph,
     path_graph,
     random_regular_graph,
+    torus_graph,
 )
 
 
@@ -362,17 +364,34 @@ _GOLDEN = [
     (["bench", "--family", "gnp", "--sizes", "40", "--p", "0.1"],
      "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
      "40,separator,24,1,3,,True\r\n"),
+    # flow_or_sparse_cut's branches: LP flows, a sweep that also walks the
+    # LP's dual lengths, a tree flow, a plain sweep and the component split
+    (["flowcut", "{c6}", "--gamma", "15", "--json"],
+     '{\n  "kind": "flow",\n  "max_congestion": 14.0,\n  "paths": 30\n}\n'),
+    (["flowcut", "{t3}", "--gamma", "20", "--json"],
+     '{\n  "kind": "flow",\n  "max_congestion": 20.0,\n  "paths": 72\n}\n'),
+    (["flowcut", "{c6}", "--gamma", "10", "--json"],
+     "sha256:74d35c5067e1e75ce61dc286fe5c7d08965ba8953489b940896d93053a4c6119"),
+    (["flowcut", "{p3}", "--gamma", "6", "--json"],
+     '{\n  "kind": "flow",\n  "max_congestion": 6.0,\n  "paths": 6\n}\n'),
+    (["flowcut", "{grid}", "--gamma", "0.5", "--json"],
+     "sha256:0d057b92d2b7324263393d9ab5420b10584ccd1c50e3e46af8999193ace3458d"),
+    (["flowcut", "{split}", "--gamma", "1", "--json"],
+     '{\n  "kind": "cut",\n  "separator": [],\n  "side_a": [\n    0,\n    1\n'
+     '  ],\n  "side_b": [\n    2,\n    3\n  ],\n  "sparsity": 0.0\n}\n'),
 ]
 
 
 def test_cli_output_is_byte_identical_to_golden(tmp_path, capsys):
     files = {"reg": random_regular_graph(300, 3, 2), "grid": grid_graph(10),
-             "path": path_graph(1200), "gnp": gnp_graph(60, 0.1, seed=5)}
+             "path": path_graph(1200), "gnp": gnp_graph(60, 0.1, seed=5),
+             "c6": cycle_graph(6), "t3": torus_graph(3), "p3": path_graph(3)}
     paths = {}
     for name, g in files.items():
         paths[name] = str(tmp_path / f"{name}.txt")
         write_graph(g, paths[name])
-    for name, text in (("k2", "2 1\n0 1\n"), ("k3", "3 3\n0 1\n1 2\n0 2\n")):
+    for name, text in (("k2", "2 1\n0 1\n"), ("k3", "3 3\n0 1\n1 2\n0 2\n"),
+                       ("split", "4 2\n0 1\n2 3\n")):
         paths[name] = str(tmp_path / f"{name}.txt")
         (tmp_path / f"{name}.txt").write_text(text)
     for argv, expected in _GOLDEN:
