@@ -9,14 +9,25 @@ gamma, between
 * a separation (A, B) whose sparsity |A n B| / (w(A) w(B)) is at most
   CUT_CONSTANT * ln(n) / gamma.
 
-Flows are searched first with congestion-aware shortest-path-tree routing,
-then (on small graphs) with an exact linear program on the standard
-vertex-splitting digraph: every vertex becomes an arc of capacity one, so
-multicommodity edge flows there are exactly vertex-capacitated flows here.
 Cuts come from prefix sweeps of several vertex orders (BFS region growing,
-LP dual lengths, spectral, weight orders); each candidate is recomputed
-from scratch before it is returned, so a returned object always satisfies
-its side of the dichotomy.
+LP dual lengths, spectral, weight orders).  A call tries, in order:
+
+1. the window: below the endpoint bound max_v 2 w(v) (W - w(v)) no flow
+   exists and only the final sweep runs; at or above W^2 / 2 plus that
+   bound no sweep cut can prove a flow impossible, so none is tried;
+2. inside the window, a sweep whose best prefix cut may certify that every
+   flow has congestion above gamma (weak flow-cut duality, one vertex cut);
+3. unless certified, congestion-aware shortest-path-tree routing;
+4. on small graphs, an exact linear program on the standard
+   vertex-splitting digraph: every vertex becomes an arc of capacity one,
+   so multicommodity edge flows there are exactly vertex-capacitated flows
+   here;
+5. the sweep for the returned cut, reusing step 2's unless the LP gave
+   dual lengths to order vertices by.
+
+Each cut candidate, and each congestion bound that skips the routing, is
+recomputed from scratch before it is used, so a returned object always
+satisfies its side of the dichotomy.
 
 A tree-routed flow is stored as one parent array per positive source: its
 p(p-1) paths (p positive vertices) are walked on demand, never written
@@ -44,6 +55,9 @@ CUT_CONSTANT = 64.0
 _LP_MAX_N = 36  # the exact LP runs on hosts up to this many vertices
 _TREE_ROUNDS = 3  # routing rounds, each against the last one's congestion
 _REL_TOL = 1e-9
+# relative margin a sweep's congestion bound needs above the routing's
+# acceptance threshold before the routing is skipped
+_CERT_MARGIN = 1e-6
 
 
 class FlowCutError(RuntimeError):
@@ -475,48 +489,93 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
 # Cut search: prefix sweeps over vertex orders
 
 
-def _sweep_order(g: WeightedGraph, order: list[int],
-                 total: float) -> tuple[float, int] | None:
-    """Best (sparsity, prefix length) over all prefix cuts of the order."""
+def _sweep_order(g: WeightedGraph, order: list[int], total: float
+                 ) -> tuple[tuple[float, int] | None, tuple[float, int]]:
+    """Sparsest prefix cut of the order, and its best congestion bound.
+
+    Returns the (sparsity, prefix length) of the sparsest prefix cut, and
+    the (bound, prefix length) of the prefix whose running value of
+    `_congestion_lower_bound` is largest; (0.0, 0) when no prefix has a
+    boundary.  The running values drift with the float sums, so a bound is
+    recomputed before it is used.
+    """
     w = g.weights
-    in_u = [False] * g.n
-    in_s = [False] * g.n
+    adj = g.adj
+    ends = [2.0 * x * (total - x) for x in w]
+    state = [0] * g.n  # 0 outside, 1 in the boundary S, 2 in the prefix U
     w_u = 0.0
     w_s = 0.0
+    end_s = 0.0  # the endpoint demands of S
     s_count = 0
-    best: tuple[float, int] | None = None
-    for i, v in enumerate(order[:-1]):
-        if in_s[v]:
-            in_s[v] = False
+    best_alpha = math.inf
+    best_len = 0
+    peak_lb = 0.0
+    peak_len = 0
+    for length, v in enumerate(order[:-1], 1):
+        if state[v] == 1:
             w_s -= w[v]
+            end_s -= ends[v]
             s_count -= 1
-        in_u[v] = True
+        state[v] = 2
         w_u += w[v]
-        for y in g.adj[v]:
-            if not in_u[y] and not in_s[y]:
-                in_s[y] = True
+        for y in adj[v]:
+            if not state[y]:
+                state[y] = 1
                 w_s += w[y]
+                end_s += ends[y]
                 s_count += 1
         wa = w_u + w_s
         wb = total - w_u
         if wa > 0 and wb > 0:
             alpha = s_count / (wa * wb)
-            if best is None or alpha < best[0]:
-                best = (alpha, i + 1)
-    return best
+            if alpha < best_alpha:
+                best_alpha, best_len = alpha, length
+        if s_count:  # wb - w_s is w(R)
+            lb = (2.0 * w_u * (wb - w_s) + end_s) / s_count
+            if lb > peak_lb:
+                peak_lb, peak_len = lb, length
+    best = (best_alpha, best_len) if best_len else None
+    return best, (peak_lb, peak_len)
 
 
-def _prefix_separation(g: WeightedGraph, order: list[int],
-                       length: int) -> Separation:
+def _prefix_sides(g: WeightedGraph, order: list[int],
+                  length: int) -> tuple[set[int], set[int]]:
+    """The prefix U = order[:length] and its boundary N(U) minus U."""
     u_set = set(order[:length])
     boundary = set()
     for v in u_set:
         for y in g.adj[v]:
             if y not in u_set:
                 boundary.add(y)
-    side_a = u_set | boundary
-    side_b = set(range(g.n)) - u_set
-    return make_separation(g, side_a, side_b)
+    return u_set, boundary
+
+
+def _prefix_separation(g: WeightedGraph, order: list[int],
+                       length: int) -> Separation:
+    u_set, boundary = _prefix_sides(g, order, length)
+    return make_separation(g, u_set | boundary, set(range(g.n)) - u_set)
+
+
+def _congestion_lower_bound(g: WeightedGraph, order: list[int],
+                            length: int) -> float:
+    """A floor on every flow's max congestion, from one prefix cut.
+
+    For the prefix U, its boundary S and the rest R, the vertices of S
+    together carry at least 2 w(U) w(R) + sum_s 2 w(s) (W - w(s)): every
+    U-R demand path has an interior vertex in S, and each s in S carries
+    its own demands as an endpoint.  One of them carries a 1/|S| share.
+    Computed from scratch with exact sums; 0.0 when S is empty.
+    """
+    u_set, boundary = _prefix_sides(g, order, length)
+    if not boundary:
+        return 0.0
+    w = g.weights
+    total = g.total_weight
+    w_r = math.fsum(w[v] for v in range(g.n)
+                    if v not in u_set and v not in boundary)
+    load = math.fsum([2.0 * g.weight_of(u_set) * w_r]
+                     + [2.0 * w[s] * (total - w[s]) for s in boundary])
+    return load / len(boundary)
 
 
 def _fiedler_order(g: WeightedGraph) -> list[int] | None:
@@ -583,7 +642,7 @@ def _cut_orders(g: WeightedGraph, positives: list[int],
     if fiedler is not None:
         orders.append(fiedler)
         orders.append(fiedler[::-1])
-    if dual_lengths is not None and any(x > 1e-12 for x in dual_lengths):
+    if dual_lengths is not None:
         cost = [x + 1e-9 for x in dual_lengths]
         for s in sources:
             _, order = _tree_from(g, s, cost)
@@ -593,16 +652,24 @@ def _cut_orders(g: WeightedGraph, positives: list[int],
 
 def _best_sweep_separation(g: WeightedGraph, positives: list[int],
                            dual_lengths: list[float] | None
-                           ) -> Separation | None:
+                           ) -> tuple[Separation | None,
+                                      tuple[list[int], int]]:
+    """Sparsest prefix cut over all orders, and the best bound's prefix.
+
+    The second item is the (order, prefix length) at which the orders'
+    running `_congestion_lower_bound` peaked; ([], 0) when none has one.
+    """
     total = g.total_weight
     best: tuple[float, list[int], int] | None = None
+    peak: tuple[float, list[int], int] = (0.0, [], 0)
     for order in _cut_orders(g, positives, dual_lengths):
-        hit = _sweep_order(g, order, total)
+        hit, (lb, length) = _sweep_order(g, order, total)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], order, hit[1])
-    if best is None:
-        return None
-    return _prefix_separation(g, best[1], best[2])
+        if lb > peak[0]:
+            peak = (lb, order, length)
+    sep = None if best is None else _prefix_separation(g, best[1], best[2])
+    return sep, peak[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +681,8 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     """Concurrent flow at congestion <= gamma, or a sparse separation.
 
     A returned separation has sparsity at most CUT_CONSTANT * ln(n) / gamma.
+    The steps are those of the module docstring: the window, the sweep
+    certificate, tree routing, the LP, then the sweep for the cut.
     Raises FlowCutError when neither side can be certified, which on sound
     inputs only signals solver non-convergence.
     """
@@ -637,13 +706,24 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     pw = g.weight_of(positives)
     endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
     dual_lengths: list[float] | None = None
+    sweep: tuple[Separation | None, tuple[list[int], int]] | None = None
     if gamma * (1 + _REL_TOL) >= endpoint_lb:
-        flow = _attempt_tree_flow(g, gamma, positives)
-        if flow is not None:
-            return flow
+        # Bound: for a prefix U, its boundary S and the rest R, every U-R
+        # demand path has an interior vertex in S and each s in S carries its
+        # own 2 w(s) (W - w(s)), so some s carries (2 w(U) w(R) + those) / |S|.
+        # Ceiling: 2 w(U) w(R) <= W^2 / 2 and each s's own share is at most
+        # endpoint_lb, so no cut certifies from W^2 / 2 + endpoint_lb up.
+        if gamma < pw * pw / 2 + endpoint_lb:
+            sweep = _best_sweep_separation(g, positives, None)
+        if sweep is None or (_congestion_lower_bound(g, *sweep[1])
+                             <= gamma * (1 + _REL_TOL) * (1 + _CERT_MARGIN)):
+            flow = _attempt_tree_flow(g, gamma, positives)
+            if flow is not None:
+                return flow
         if g.n <= _LP_MAX_N:
             outcome = _solve_throughput_lp(g, positives)
-            dual_lengths = outcome.dual_lengths
+            if any(x > 1e-12 for x in outcome.dual_lengths or ()):
+                dual_lengths = outcome.dual_lengths
             if outcome.throughput * gamma >= 1.0 - 1e-9:
                 lp_flow = _flow_from_lp(g, positives, outcome)
                 if lp_flow.max_congestion() <= gamma * (1 + 1e-7):
@@ -653,8 +733,11 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # weight-ascending order's last prefix cuts off a heaviest vertex t at
     # sparsity 1 / (W w(t)), while gamma < endpoint_lb <= 2 w(t) W makes the
     # bound exceed 32 ln(n) / (W w(t)).  So this one sweep always succeeds
-    # there, and no second LP pass could ever run after it.
-    sep = _best_sweep_separation(g, positives, dual_lengths)
+    # there, and no second LP pass could ever run after it.  Without dual
+    # lengths the window's sweep walked the same orders, so it is reused.
+    if sweep is None or dual_lengths is not None:
+        sweep = _best_sweep_separation(g, positives, dual_lengths)
+    sep = sweep[0]
     if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
 
@@ -761,11 +844,11 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
     for comp in connected_components(g, set(range(g.n)) - sep_acc):
         if g.weight_of(comp) > half:
             raise GraphError("peeled separator failed the balance check")
-    if gamma > 0 and g.n >= 2:
-        cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
-        if len(sep_acc) > cap * (1 + _REL_TOL) + 1e-9:
-            raise GraphError(
-                f"separator size {len(sep_acc)} exceeds the bound {cap:.3f}")
+    # a peel needs two positive vertices, so n >= 2 and log(n) > 0 here
+    cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
+    if len(sep_acc) > cap * (1 + _REL_TOL) + 1e-9:
+        raise GraphError(
+            f"separator size {len(sep_acc)} exceeds the bound {cap:.3f}")
     return BalancedSeparatorResult(frozenset(sep_acc),
                                    tuple(tuple(p) for p in pieces),
                                    tuple(steps))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -14,6 +15,7 @@ from coarsesep import (
     balanced_separator_or_flow,
     connected_components,
     flow_or_sparse_cut,
+    induced_minor_separator,
     make_separation,
 )
 from coarsesep.generators import (
@@ -25,7 +27,8 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import _cut_orders, _tree_congestion, _tree_from
+from coarsesep.flow import (_best_sweep_separation, _congestion_lower_bound,
+                            _cut_orders, _tree_congestion, _tree_from)
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -213,17 +216,30 @@ def _random_weighted_host(rng):
     p = rng.choice([0.1, 0.2, 0.4, 0.8])
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
+    return WeightedGraph(n, edges, _random_weights(rng, n))
+
+
+def _random_sparse_host(rng, max_n):
+    """Mostly a random recursive tree plus a few random edges."""
+    n = rng.randint(2, max_n)
+    p = min(1.0, rng.choice([0, 1, 2, 4]) / max(n - 1, 1))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p}
+    if rng.random() < 0.8:
+        edges |= {(rng.randrange(v), v) for v in range(1, n)}
+    return WeightedGraph(n, sorted(edges), _random_weights(rng, n))
+
+
+def _random_weights(rng, n):
     kind = rng.choice(["unit", "integer", "skewed", "zeros"])
     if kind == "unit":
-        w = [1.0] * n
-    elif kind == "integer":
-        w = [float(rng.randint(1, 9)) for _ in range(n)]
-    elif kind == "skewed":
-        w = [10 ** rng.uniform(-6, 6) for _ in range(n)]
-    else:
-        w = [0.0 if rng.random() < 0.4 else float(rng.randint(1, 5))
-             for _ in range(n)]
-    return WeightedGraph(n, edges, w)
+        return [1.0] * n
+    if kind == "integer":
+        return [float(rng.randint(1, 9)) for _ in range(n)]
+    if kind == "skewed":
+        return [10 ** rng.uniform(-6, 6) for _ in range(n)]
+    return [0.0 if rng.random() < 0.4 else float(rng.randint(1, 5))
+            for _ in range(n)]
 
 
 def test_sweep_alone_answers_below_the_endpoint_bound(monkeypatch):
@@ -250,6 +266,108 @@ def test_sweep_alone_answers_below_the_endpoint_bound(monkeypatch):
         res = flow_or_sparse_cut(g, gamma)
         assert isinstance(res, Separation)
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma * (1 + 1e-9)
+
+
+def test_flow_or_sparse_cut_outputs_match_golden_digest():
+    # Every result of the dichotomy on 60 seeded random hosts, at one gamma
+    # below the endpoint bound, one inside the window where a sweep cut may
+    # certify that no flow fits, and one around W^2.  The digest covers the
+    # kind, the sides, repr of the sparsity, every routed path with its
+    # amount and the congestion vector.  It was captured before the sweep
+    # certificate let flow_or_sparse_cut skip the tree routing.
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    kinds = []
+    while len(kinds) < 180:
+        g = _random_sparse_host(rng, 60)
+        w = g.weights
+        positives = [v for v in range(g.n) if w[v] > 0]
+        if len(positives) < 2:
+            continue
+        total = g.total_weight
+        endpoint_lb = max(2.0 * w[v] * (total - w[v]) for v in positives)
+        ceiling = total * total / 2 + endpoint_lb
+        below = endpoint_lb * 10 ** rng.uniform(-1, 0)
+        inside = endpoint_lb * (ceiling / endpoint_lb) ** rng.random() ** 2
+        around = total * total * 10 ** rng.uniform(-1, 0.3)
+        for gamma in (below, inside, around):
+            res = flow_or_sparse_cut(g, gamma)
+            if isinstance(res, Separation):
+                record = ("cut", sorted(res.side_a), sorted(res.side_b),
+                          repr(res.sparsity))
+            else:
+                record = ("flow", list(res.routed()), res.congestion_vector())
+            kinds.append(record[0])
+            digest.update(repr(record).encode())
+    assert (kinds.count("flow"), kinds.count("cut")) == (52, 128)
+    assert digest.hexdigest() == (
+        "357a756619db5f678d34696da3b0b8cdfa9defc99afcd3a05483cc177d57bed9")
+
+
+def _recording(monkeypatch, name):
+    """Wrap `flow_module.<name>`; returns the original and its results."""
+    original = getattr(flow_module, name)
+    results = []
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(flow_module, name, wrapper)
+    return original, results
+
+
+def test_sweep_certificate_skips_only_routing_that_fails(monkeypatch):
+    # Inside the window a sweep cut may certify that every flow has max
+    # congestion above gamma; flow_or_sparse_cut then skips the routing.
+    # Whenever it does, the routing must fail and the exact LP optimum must
+    # be at least the certified bound.
+    route, routed = _recording(monkeypatch, "_attempt_tree_flow")
+    _, solved = _recording(monkeypatch, "_solve_throughput_lp")
+    rng = random.Random(13)
+    fired = tried = 0
+    while tried < 60:
+        g = _random_sparse_host(rng, 36)
+        w = g.weights
+        positives = [v for v in range(g.n) if w[v] > 0]
+        if len(positives) < 2 or sum(
+                any(w[v] > 0 for v in comp)
+                for comp in connected_components(g)) > 1:
+            continue
+        tried += 1
+        total = g.total_weight
+        endpoint_lb = max(2.0 * w[v] * (total - w[v]) for v in positives)
+        ceiling = total * total / 2 + endpoint_lb
+        gamma = endpoint_lb * (ceiling / endpoint_lb) ** rng.random() ** 2
+        routed.clear()
+        solved.clear()
+        res = flow_or_sparse_cut(g, gamma)
+        if routed:
+            continue
+        fired += 1
+        _, prefix = _best_sweep_separation(g, positives, None)
+        floor = _congestion_lower_bound(g, *prefix)
+        assert floor > gamma
+        assert isinstance(res, Separation)
+        assert route(g, gamma, positives) is None
+        # the LP still runs, since its dual lengths choose sweep orders
+        assert len(solved) == 1
+        assert 1.0 / solved[0].throughput >= floor * (1 - 1e-7)
+    assert 0 < fired < tried, (fired, tried)
+
+
+def test_induced_gnp_routes_only_where_no_cut_rules_a_flow_out(monkeypatch):
+    # The certificate is the one found before the sweep certificate existed,
+    # when the same call made 21 tree-routing attempts.
+    _, routed = _recording(monkeypatch, "_attempt_tree_flow")
+    cert = induced_minor_separator(gnp_graph(150, 4 / 150, seed=0))
+    expected = (3, 4, 6, 9, 11, 12, 16, 17, 21, 27, 28, 32, 37, 46, 49, 56,
+                59, 63, 78, 80, 83, 95, 96, 99, 101, 102, 105, 107, 110, 118,
+                119, 129, 147)
+    assert tuple(sorted(cert.separator)) == expected
+    assert cert.centers == expected
+    assert cert.radius == 0
+    assert len(routed) == 5 < 21
 
 
 def test_separation_objects_are_sound():
