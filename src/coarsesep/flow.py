@@ -33,9 +33,13 @@ A tree-routed flow is stored as one parent array per positive source: its
 p(p-1) paths (p positive vertices) are walked on demand, never written
 out.  Only the LP's flows, on small graphs, hold explicit paths.
 
-`balanced_separator_or_flow` iterates the dichotomy, peeling the lighter
-side of each separation, and ends with either a balanced separator of the
-whole graph or a flow on a still-heavy induced subgraph.
+One peel loop, `_peel`, applies a step to the still-active induced
+subgraph and peels the lighter side of each separation until the rest
+weighs less than W/2.  `balanced_separator_or_flow` steps with the
+dichotomy and ends with either a balanced separator of the whole graph or
+a flow on a still-heavy induced subgraph.  `balanced_separator_by_sweeps`
+steps with the component split or the plain sweep alone; it needs no
+congestion budget, never routes and never solves the LP.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import (GraphError, Separation, WeightedGraph,
                     connected_components, induced_subgraph, make_separation)
@@ -672,6 +676,20 @@ def _best_sweep_separation(g: WeightedGraph, positives: list[int],
     return sep, peak[1:]
 
 
+def _component_split(g: WeightedGraph) -> Separation | None:
+    """The first positive-weight component against the rest (sparsity 0).
+
+    None unless the positive-weight vertices lie in several components.
+    """
+    w = g.weights
+    pos_comp = [c for c in connected_components(g)
+                if any(w[v] > 0 for v in c)]
+    if len(pos_comp) < 2:
+        return None
+    side_a = set(pos_comp[0])
+    return make_separation(g, side_a, set(range(g.n)) - side_a)
+
+
 # ---------------------------------------------------------------------------
 # The dichotomy
 
@@ -694,14 +712,10 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
         return ConcurrentFlow.empty(g)
     bound = CUT_CONSTANT * math.log(max(g.n, 2)) / gamma
 
-    comps = connected_components(g)
-    pos_comp = [c for c in comps if any(w[v] > 0 for v in c)]
-    if len(pos_comp) > 1:
-        # demands across components make any flow infeasible; the component
-        # split is a separation of sparsity 0
-        side_a = set(pos_comp[0])
-        side_b = set(range(g.n)) - side_a
-        return make_separation(g, side_a, side_b)
+    split = _component_split(g)
+    if split is not None:
+        # demands across components make any flow infeasible
+        return split
 
     pw = g.weight_of(positives)
     endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
@@ -797,15 +811,16 @@ def _check_loop_structure(g: WeightedGraph, separator: set[int],
             raise GraphError(f"edge ({u}, {v}) crosses distinct pieces")
 
 
-def balanced_separator_or_flow(g: WeightedGraph, gamma: float
-                               ) -> BalancedSeparatorResult | HeavyFlowResult:
-    """Peel sparse separations until the rest is light, or surface a flow.
+def _peel(g: WeightedGraph,
+          step: Callable[[WeightedGraph], ConcurrentFlow | Separation]
+          ) -> BalancedSeparatorResult | HeavyFlowResult:
+    """Peel the lighter side of step's separations until the rest is light.
 
-    Every iteration applies `flow_or_sparse_cut` to the still-active induced
-    subgraph.  A flow ends the loop with the active subgraph (its weight is
-    still at least W/2); otherwise the lighter side of the separation is
-    peeled off and its separator accumulated.  The accumulated separator
-    has size at most CUT_CONSTANT * W^2 * ln(n) / gamma.
+    Every iteration applies `step` to the still-active induced subgraph.  A
+    flow ends the loop with the active subgraph (its weight is still at
+    least W/2); otherwise the lighter side of the separation is peeled off
+    and its separator accumulated.  The result is checked for structure and
+    balance before it is returned.
     """
     total = g.total_weight
     active = list(range(g.n))
@@ -814,7 +829,7 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
     steps: list[Separation] = []
     while g.weight_of(active) >= total / 2.0:
         sub, ids = induced_subgraph(g, active)
-        res = flow_or_sparse_cut(sub, gamma)
+        res = step(sub)
         if isinstance(res, ConcurrentFlow):
             result = HeavyFlowResult(tuple(active), res,
                                      frozenset(sep_acc), tuple(steps))
@@ -844,11 +859,63 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
     for comp in connected_components(g, set(range(g.n)) - sep_acc):
         if g.weight_of(comp) > half:
             raise GraphError("peeled separator failed the balance check")
-    # a peel needs two positive vertices, so n >= 2 and log(n) > 0 here
-    cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
-    if len(sep_acc) > cap * (1 + _REL_TOL) + 1e-9:
-        raise GraphError(
-            f"separator size {len(sep_acc)} exceeds the bound {cap:.3f}")
     return BalancedSeparatorResult(frozenset(sep_acc),
                                    tuple(tuple(p) for p in pieces),
                                    tuple(steps))
+
+
+def balanced_separator_or_flow(g: WeightedGraph, gamma: float
+                               ) -> BalancedSeparatorResult | HeavyFlowResult:
+    """Peel sparse separations until the rest is light, or surface a flow.
+
+    The peel's step is `flow_or_sparse_cut(sub, gamma)`.  The accumulated
+    separator has size at most CUT_CONSTANT * W^2 * ln(n) / gamma.
+    """
+    res = _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma))
+    if isinstance(res, HeavyFlowResult):
+        return res
+    total = g.total_weight
+    # a peel needs two positive vertices, so n >= 2 and log(n) > 0 here
+    cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
+    if len(res.separator) > cap * (1 + _REL_TOL) + 1e-9:
+        raise GraphError(
+            f"separator size {len(res.separator)} exceeds the bound "
+            f"{cap:.3f}")
+    return res
+
+
+def _sweep_cut(g: WeightedGraph) -> Separation:
+    """The component split, or else the sparsest plain sweep cut."""
+    split = _component_split(g)
+    if split is not None:
+        return split
+    w = g.weights
+    positives = [v for v in range(g.n) if w[v] > 0]
+    if len(positives) < 2:
+        # one vertex carries all the active weight: it is the separator
+        return make_separation(g, positives, range(g.n))
+    # the positives share a component, so a heaviest vertex t has a
+    # neighbour, and the weight-ascending order's last prefix V - t is a
+    # valid cut: the sweep never comes back empty here
+    return _best_sweep_separation(g, positives, None)[0]
+
+
+def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
+    """A balanced separator from sweep cuts alone: no routing, no LP.
+
+    The peel's step is the component split, or else the plain sweep's
+    sparsest cut, so no congestion budget is involved.  Weights must keep
+    products of two sums within range (see `_default_quotient_oracle`).
+
+    Against `balanced_separator_or_flow` at the budget gamma where it first
+    returns a separator: there no step returned a flow, and each step's cut
+    was the component split or the plain sweep, reused from the window or
+    taken below the endpoint bound.  The one exception is a step where the
+    LP ran (at most _LP_MAX_N active vertices, gamma inside the window) and
+    gave nonzero dual lengths, whose orders join the sweep.  Since the
+    sweep does not depend on gamma, the two peels agree on every host that
+    never takes that exception.  Where the active weight ends on one
+    positive vertex, the dichotomy returns the empty flow at every gamma;
+    this peel puts that vertex into the separator instead.
+    """
+    return _peel(g, _sweep_cut)  # a sweep step never returns a flow

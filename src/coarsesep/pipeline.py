@@ -28,8 +28,8 @@ from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
                        SubdividedPattern, crude_to_fat, ensure_fat_model,
                        ensure_no_isolated, lift_model, power_model_to_base,
                        restrict_model, sample_crude_model, two_subdivision)
-from .flow import (BalancedSeparatorResult, FlowCutError, HeavyFlowResult,
-                   balanced_separator_or_flow)
+from .flow import (BalancedSeparatorResult, HeavyFlowResult,
+                   balanced_separator_by_sweeps, balanced_separator_or_flow)
 from .graph import (GraphError, QuotientGraph, SeparatorCertificate,
                     WeightedGraph, coverage_radius, greedy_cover, power,
                     quotient, verify_separator)
@@ -292,21 +292,13 @@ QuotientSeparatorOracle = Callable[[WeightedGraph], Iterable[int]]
 
 
 def _default_quotient_oracle(qg: WeightedGraph) -> Iterable[int]:
-    positives = sum(1 for w in qg.weights if w > 0)
-    if positives < 2:
+    if sum(1 for w in qg.weights if w > 0) < 2:
         return range(qg.n)
-    gamma = qg.total_weight * qg.total_weight
-    floor = gamma * 1e-15
-    while gamma > floor:
-        try:
-            res = balanced_separator_or_flow(qg, gamma)
-        except FlowCutError:
-            gamma /= 4.0
-            continue
-        if isinstance(res, BalancedSeparatorResult):
-            return sorted(res.separator)
-        gamma /= 4.0
-    return range(qg.n)  # pragma: no cover - defensive fallback
+    # an exact power-of-two rescale brings the heaviest weight into [1, 2),
+    # so the sweep's products of side weights neither underflow nor overflow
+    shift = 1 - math.frexp(max(qg.weights))[1]
+    scaled = qg.with_weights([math.ldexp(w, shift) for w in qg.weights])
+    return sorted(balanced_separator_by_sweeps(scaled).separator)
 
 
 def induced_minor_separator(g: WeightedGraph,
@@ -317,8 +309,9 @@ def induced_minor_separator(g: WeightedGraph,
     The star partition keeps the quotient small; any balanced separator of
     the quotient blows up to a balanced separator of the graph made of
     whole stars, so single-ball coverage is automatic.  The quotient
-    separator comes from `quotient_oracle` (default: rerun the flow/cut
-    peeling with a shrinking congestion budget until it yields one).
+    separator comes from `quotient_oracle` (default: peel sweep cuts of the
+    quotient, `balanced_separator_by_sweeps`, with no congestion budget,
+    routing or LP).
     """
     if g.n == 0:
         return SeparatorCertificate(frozenset(), (), 0)

@@ -358,8 +358,10 @@ def test_sweep_certificate_skips_only_routing_that_fails(monkeypatch):
 
 def test_induced_gnp_routes_only_where_no_cut_rules_a_flow_out(monkeypatch):
     # The certificate is the one found before the sweep certificate existed,
-    # when the same call made 21 tree-routing attempts.
+    # when the same call made 21 tree-routing attempts.  The star-quotient
+    # oracle now peels sweep cuts alone, so it neither routes nor solves LPs.
     _, routed = _recording(monkeypatch, "_attempt_tree_flow")
+    _, solved = _recording(monkeypatch, "_solve_throughput_lp")
     cert = induced_minor_separator(gnp_graph(150, 4 / 150, seed=0))
     expected = (3, 4, 6, 9, 11, 12, 16, 17, 21, 27, 28, 32, 37, 46, 49, 56,
                 59, 63, 78, 80, 83, 95, 96, 99, 101, 102, 105, 107, 110, 118,
@@ -367,7 +369,8 @@ def test_induced_gnp_routes_only_where_no_cut_rules_a_flow_out(monkeypatch):
     assert tuple(sorted(cert.separator)) == expected
     assert cert.centers == expected
     assert cert.radius == 0
-    assert len(routed) == 5 < 21
+    assert len(routed) == 0
+    assert len(solved) == 0
 
 
 def test_separation_objects_are_sound():

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     GraphError,
@@ -13,15 +16,19 @@ from coarsesep import (
     coarse_separator_or_model,
     core_3fat,
     induced_minor_separator,
+    star_partition,
     verify_fat_model,
     verify_separator,
 )
 from coarsesep.generators import (
+    barbell_graph,
     complete_graph,
     cycle_graph,
+    gnp_graph,
     grid_graph,
     path_graph,
 )
+from coarsesep.pipeline import _default_quotient_oracle
 
 K2 = PatternGraph(2, [(0, 1)])
 K3 = PatternGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -201,3 +208,63 @@ def test_induced_separator_accepts_custom_oracle():
     g = cycle_graph(20)  # star partition peels the cycle into singletons
     cert = induced_minor_separator(g, quotient_oracle=lambda q: range(q.n))
     assert len(cert.separator) == 20
+
+
+def test_induced_separators_match_golden_digest():
+    # Captured when the default oracle still reran the flow/cut peel at a
+    # shrinking congestion budget; the sweep-only peel gives the same bytes.
+    hosts = ([gnp_graph(150, 4 / 150, seed=s) for s in range(16)]
+             + [grid_graph(10), cycle_graph(100), barbell_graph(10, 5)])
+    digest = hashlib.sha256()
+    for g in hosts:
+        cert = induced_minor_separator(g)
+        digest.update(f"{sorted(cert.separator)}|{list(cert.centers)}|"
+                      f"{cert.radius}\n".encode())
+    assert digest.hexdigest() == (
+        "f65c8907865c03e18e2289c6da4d0f442ec571bf51c8cb92ae898dea0f83699a")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_induced_separator_at_extreme_weight_scales(scale):
+    # Products of two such weights leave the float range; the default
+    # oracle rescales the quotient by a power of two before it peels.
+    for seed in range(4):
+        g = gnp_graph(150, 4 / 150, seed=seed)
+        g = g.with_weights([scale] * g.n)
+        cert = induced_minor_separator(g)
+        assert verify_separator(g, cert.separator, cert.centers,
+                                cert.radius).ok
+        assert cert.radius <= 1
+        # not every star, as a failed search would return
+        assert len(cert.centers) < len(star_partition(g)[0].clusters)
+
+
+@st.composite
+def _weighted_hosts(draw):
+    n = draw(st.integers(1, 24))
+    edges = set()
+    if draw(st.booleans()):  # a random spanning tree makes it connected
+        for v in range(1, n):
+            edges.add((draw(st.integers(0, v - 1)), v))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=2 * n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    kind = draw(st.sampled_from(["unit", "skewed", "partly zero"]))
+    if kind == "unit":
+        weights = [1.0] * n
+    elif kind == "skewed":
+        weights = draw(st.lists(st.floats(-6, 6).map(lambda e: 10.0 ** e),
+                                min_size=n, max_size=n))
+    else:
+        weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                                min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    return WeightedGraph(n, sorted(edges), [x * scale for x in weights])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_weighted_hosts())
+def test_default_quotient_oracle_is_balanced(q):
+    chosen = sorted(set(_default_quotient_oracle(q)))
+    assert verify_separator(q, chosen, chosen, 0).balanced
