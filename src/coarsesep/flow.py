@@ -45,6 +45,7 @@ congestion budget, never routes and never solves the LP.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -586,23 +587,28 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
     if g.n < 3 or g.n > 800 or g.m == 0:
         return None
     import numpy as np
+    # the same matrix as one summed edge by edge, so the same eigenvectors
+    adj = g.adj
     lap = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
+    degrees = [len(row) for row in adj]
+    rows = np.repeat(np.arange(g.n), degrees)
+    cols = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp,
+                       count=len(rows))
+    lap[rows, cols] = -1.0
+    diagonal = np.arange(g.n)
+    lap[diagonal, diagonal] = degrees
     try:
         _, vecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError:  # pragma: no cover - numeric guard
         return None
-    vec = vecs[:, 1]
+    vec = vecs[:, 1].tolist()
     for x in vec:
         if abs(x) > 1e-12:
             if x < 0:
-                vec = -vec
+                vec = [-y for y in vec]
             break
-    return sorted(range(g.n), key=lambda v: (vec[v], v))
+    # a stable sort of the ascending ids breaks ties by id
+    return sorted(range(g.n), key=vec.__getitem__)
 
 
 def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:

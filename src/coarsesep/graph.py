@@ -21,7 +21,12 @@ class WeightedGraph:
     """Immutable simple graph with one nonnegative float weight per vertex.
 
     Adjacency lists are kept sorted so that every traversal in the package
-    is deterministic.
+    is deterministic.  The public constructor checks every edge and weight.
+    Graphs derived from a valid graph (`power`, `induced_subgraph`,
+    `quotient`, `with_weights`) are built by `_derived` from adjacency rows
+    that are already sorted, symmetric and simple, and skip those checks.
+    No code mutates `adj` or `weights` after construction, so derived
+    graphs may share them.
     """
 
     __slots__ = ("n", "adj", "weights", "_m", "_total")
@@ -50,18 +55,25 @@ class WeightedGraph:
             lst.sort()
         self.adj = adj
         self._m = m
-        if weights is None:
-            self.weights = [1.0] * n
-        else:
-            if len(weights) != n:
-                raise GraphError("weight vector length does not match n")
-            ws = [float(w) for w in weights]
-            for v, w in enumerate(ws):
-                if w < 0 or not math.isfinite(w):
-                    raise GraphError(
-                        f"negative or non-finite weight at vertex {v}")
-            self.weights = ws
+        self.weights = ([1.0] * n if weights is None
+                        else _checked_weights(weights, n))
         self._total = math.fsum(self.weights)
+
+    @classmethod
+    def _derived(cls, adj: list[list[int]],
+                 weights: list[float]) -> "WeightedGraph":
+        """Graph on sorted, symmetric, simple `adj` and valid float weights.
+
+        Trusts its inputs: callers build them from a graph that passed the
+        public constructor's checks.
+        """
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g._m = sum(map(len, adj)) // 2
+        g.weights = weights
+        g._total = math.fsum(weights)
+        return g
 
     @property
     def m(self) -> int:
@@ -98,10 +110,22 @@ class WeightedGraph:
         return lo < len(a) and a[lo] == v
 
     def with_weights(self, weights: Sequence[float]) -> "WeightedGraph":
-        return WeightedGraph(self.n, self.edges(), weights)
+        """The same graph with new (checked) weights; shares `adj`."""
+        return WeightedGraph._derived(self.adj,
+                                      _checked_weights(weights, self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _checked_weights(weights: Sequence[float], n: int) -> list[float]:
+    if len(weights) != n:
+        raise GraphError("weight vector length does not match n")
+    ws = [float(w) for w in weights]
+    for v, w in enumerate(ws):
+        if w < 0 or not math.isfinite(w):
+            raise GraphError(f"negative or non-finite weight at vertex {v}")
+    return ws
 
 
 def bfs_distances(g: WeightedGraph, sources: Iterable[int]) -> list[float]:
@@ -177,25 +201,28 @@ def power(g: WeightedGraph, r: int) -> WeightedGraph:
     if r < 1:
         raise GraphError("power exponent must be >= 1")
     if r == 1:
-        return WeightedGraph(g.n, g.edges(), g.weights)
-    edges = []
+        return WeightedGraph._derived(g.adj, g.weights)
+    adj = g.adj
+    rows = []
     for u in range(g.n):
-        # truncated BFS to depth r
+        # truncated BFS to depth r; the row is everything it reaches
         seen = {u}
+        row: list[int] = []
         frontier = [u]
         for _ in range(r):
             nxt = []
             for x in frontier:
-                for y in g.adj[x]:
+                for y in adj[x]:
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
-                        if y > u:
-                            edges.append((u, y))
             if not nxt:
                 break
+            row += nxt
             frontier = nxt
-    return WeightedGraph(g.n, edges, g.weights)
+        row.sort()
+        rows.append(row)
+    return WeightedGraph._derived(rows, g.weights)
 
 
 def connected_components(g: WeightedGraph,
@@ -234,14 +261,15 @@ def induced_subgraph(g: WeightedGraph,
                      vertices: Iterable[int]) -> tuple[WeightedGraph, list[int]]:
     """Induced subgraph plus the list mapping new ids -> original ids."""
     ids = sorted(set(vertices))
+    if ids and not (0 <= ids[0] and ids[-1] < g.n):
+        raise GraphError(f"vertex {ids[0] if ids[0] < 0 else ids[-1]} "
+                         f"out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(ids)}
-    edges = []
-    for u in ids:
-        for v in g.adj[u]:
-            if u < v and v in pos:
-                edges.append((pos[u], pos[v]))
-    sub = WeightedGraph(len(ids), edges, [g.weights[v] for v in ids])
-    return sub, ids
+    adj = g.adj
+    # ids ascend, so each relabelled row stays sorted
+    rows = [[pos[v] for v in adj[u] if v in pos] for u in ids]
+    weights = g.weights
+    return WeightedGraph._derived(rows, [weights[v] for v in ids]), ids
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +451,11 @@ def quotient(g: WeightedGraph, clusters: Sequence[Sequence[int]]) -> QuotientGra
     for i, cl in enumerate(norm):
         if len(connected_components(g, cl)) != 1:
             raise GraphError(f"cluster {i} is not connected")
-    qedges = set()
-    for u, v in g.edges():
-        cu, cv = cluster_of[u], cluster_of[v]
-        if cu != cv:
-            qedges.add((min(cu, cv), max(cu, cv)))
-    qweights = [g.weight_of(cl) for cl in norm]
-    qg = WeightedGraph(len(norm), sorted(qedges), qweights)
+    adj = g.adj
+    rows = []
+    for i, cl in enumerate(norm):
+        nbrs = {cluster_of[v] for u in cl for v in adj[u]}
+        nbrs.discard(i)
+        rows.append(sorted(nbrs))
+    qg = WeightedGraph._derived(rows, [g.weight_of(cl) for cl in norm])
     return QuotientGraph(qg, tuple(norm), tuple(cluster_of))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,26 +66,39 @@ class ConnectedPartition:
 
 
 def _cluster_metrics(g: WeightedGraph, cluster: tuple[int, ...]) -> tuple[int, int]:
-    """(strong diameter, eccentricity-minimizing center) of G[cluster]."""
-    members = set(cluster)
+    """(strong diameter, eccentricity-minimizing center) of G[cluster].
+
+    One BFS per member over the cluster's own adjacency, built once; the
+    center is the first member (the smallest id) of least eccentricity.
+    """
+    idx = {v: i for i, v in enumerate(cluster)}
+    adj = g.adj
+    local = [[idx[u] for u in adj[v] if u in idx] for v in cluster]
+    k = len(cluster)
+    mark = [-1] * k
     diam = 0
-    best_ecc = None
+    best_ecc = k  # above every eccentricity
     center = cluster[0]
-    for s in cluster:
-        dist = {s: 0}
-        q = deque([s])
+    for s in range(k):
+        mark[s] = s
+        frontier = [s]
         ecc = 0
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if v in members and v not in dist:
-                    dist[v] = dist[u] + 1
-                    ecc = max(ecc, dist[v])
-                    q.append(v)
-        diam = max(diam, ecc)
-        if best_ecc is None or ecc < best_ecc:
+        while True:
+            nxt = []
+            for x in frontier:
+                for y in local[x]:
+                    if mark[y] != s:
+                        mark[y] = s
+                        nxt.append(y)
+            if not nxt:
+                break
+            ecc += 1
+            frontier = nxt
+        if ecc > diam:
+            diam = ecc
+        if ecc < best_ecc:
             best_ecc = ecc
-            center = s
+            center = cluster[s]
     return diam, center
 
 

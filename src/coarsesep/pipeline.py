@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
@@ -251,6 +251,18 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
 # General fatness via graph powers
 
 
+def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
+    """`g` with its weights divided by the heaviest one, and that weight.
+
+    Uniform weights become exactly 1.  When no weight needs dividing (the
+    heaviest is 1, or none is positive) the result is `g` itself and 1.
+    """
+    top = max(g.weights, default=0.0)
+    if top > 0 and top != 1.0:
+        return g.with_weights([w / top for w in g.weights]), top
+    return g, 1.0
+
+
 def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
                               fatness: int,
                               config: PipelineConfig | None = None
@@ -262,26 +274,42 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
     there converts to a d-fat model here, and a certificate keeps its
     separator while its radius is re-measured in this graph (one power
     hop is at most d hops, so the radius stays within d * ceil(32/eps)).
+
+    The core sees the weights divided by the heaviest one.  Balance and
+    sparsity only rescale with W, and uniform weights become exactly 1, so
+    at any scale from 1e-300 to 1e300 they give the unit-weight answer
+    (unit weights reach the core as they are).  `congestion_override` and
+    the reported `gamma` scale as W^2 and are in the caller's scale;
+    certificates are verified on `g`.
     """
     if fatness < 1:
         raise GraphError("fatness must be at least 1")
     config = config or PipelineConfig()
-    if fatness <= 3:
-        return core_3fat(g, pattern, config)
-    gp = power(g, fatness)
-    res = core_3fat(gp, pattern, config)
+    override = config.congestion_override
+    core_host, top = _heaviest_weight_one(g)
+    if core_host is not g and override is not None:
+        config = replace(config, congestion_override=override / top / top)
+    if fatness > 3:
+        core_host = power(core_host, fatness)
+    res = core_3fat(core_host, pattern, config)
+    if isinstance(res, PipelineFailure):
+        return res
+    gamma = res.gamma
+    if gamma is not None:
+        gamma = override if override is not None else gamma * top * top
     if isinstance(res, ModelFound):
-        base_model = power_model_to_base(g, gp, pattern, res.model, fatness)
-        return ModelFound(base_model, res.branch, res.gamma)
-    if isinstance(res, SeparatorFound):
-        cert = res.certificate
-        if not cert.separator:
-            return _checked(g, cert, res.branch, res.gamma)
+        model = res.model
+        if fatness > 3:
+            model = power_model_to_base(g, core_host, pattern, model,
+                                        fatness)
+        return ModelFound(model, res.branch, gamma)
+    cert = res.certificate
+    if fatness > 3:
         radius = coverage_radius(g, cert.separator, cert.centers)
-        new_cert = SeparatorCertificate(cert.separator, cert.centers,
-                                        int(radius))
-        return _checked(g, new_cert, res.branch, res.gamma)
-    return res
+        cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
+    elif core_host is g:
+        return res  # the core verified it on `g` itself
+    return _checked(g, cert, res.branch, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +339,13 @@ def induced_minor_separator(g: WeightedGraph,
     whole stars, so single-ball coverage is automatic.  The quotient
     separator comes from `quotient_oracle` (default: peel sweep cuts of the
     quotient, `balanced_separator_by_sweeps`, with no congestion budget,
-    routing or LP).
+    routing or LP).  The quotient carries the weights divided by the
+    heaviest one, so uniform weights at any scale give the unit-weight
+    answer; the certificate is verified on `g`.
     """
     if g.n == 0:
         return SeparatorCertificate(frozenset(), (), 0)
-    part, q = star_partition(g)
+    part, q = star_partition(_heaviest_weight_one(g)[0])
     oracle = quotient_oracle or _default_quotient_oracle
     chosen = sorted(set(oracle(q.graph)))
     for i in chosen:

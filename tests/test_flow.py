@@ -28,7 +28,8 @@ from coarsesep.generators import (
 )
 import coarsesep.flow as flow_module
 from coarsesep.flow import (_best_sweep_separation, _congestion_lower_bound,
-                            _cut_orders, _tree_congestion, _tree_from)
+                            _cut_orders, _fiedler_order, _tree_congestion,
+                            _tree_from)
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -209,6 +210,36 @@ def test_cut_orders_cover_a_host_with_isolated_vertices():
         again = make_separation(g, res.side_a, res.side_b)
         assert again.sparsity == res.sparsity
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma
+
+
+def _fiedler_order_edge_by_edge(g):
+    """Reference: the Laplacian summed one edge at a time."""
+    import numpy as np
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+        lap[u, v] -= 1.0
+        lap[v, u] -= 1.0
+    vec = np.linalg.eigh(lap)[1][:, 1]
+    for x in vec:
+        if abs(x) > 1e-12:
+            if x < 0:
+                vec = -vec
+            break
+    return sorted(range(g.n), key=lambda v: (vec[v], v))
+
+
+def test_fiedler_order_matches_edge_by_edge_laplacian():
+    rng = random.Random(11)
+    hosts = [grid_graph(12), cycle_graph(60), barbell_graph(8, 4),
+             complete_graph(9)]
+    hosts += [_random_sparse_host(rng, 120) for _ in range(12)]
+    # isolated vertices give zero rows and a multiple zero eigenvalue
+    hosts.append(WeightedGraph(30, [(i, i + 1) for i in range(19)]))
+    for g in hosts:
+        if g.n >= 3 and g.m:
+            assert _fiedler_order(g) == _fiedler_order_edge_by_edge(g)
 
 
 def _random_weighted_host(rng):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     GraphError,
@@ -191,3 +193,100 @@ def test_complete_graph_structure():
     g = complete_graph(5)
     assert g.m == 10
     assert all(g.degree(v) == 4 for v in range(5))
+
+
+# ---------------------------------------------------------------------------
+# Derived graphs equal the same graph built through the public constructor
+
+
+@st.composite
+def _sparse_hosts(draw):
+    # few edges, so isolated vertices are common; some weights are zero
+    n = draw(st.integers(0, 18))
+    edges = set()
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pairs, max_size=2 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-300]),
+                            min_size=n, max_size=n))
+    return WeightedGraph(n, sorted(edges), weights)
+
+
+def _assert_same_graph(got, want):
+    assert got.n == want.n
+    assert got.adj == want.adj
+    assert got.weights == want.weights
+    assert got.m == want.m
+    assert got.total_weight == want.total_weight
+    assert got.edges() == want.edges()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_sparse_hosts(), st.data())
+def test_derived_graphs_match_public_constructor(g, data):
+    for r in range(1, 6):
+        want = [(u, v) for u in range(g.n)
+                for v, d in enumerate(bfs_distances(g, [u]))
+                if u < v and d <= r]
+        _assert_same_graph(power(g, r), WeightedGraph(g.n, want, g.weights))
+
+    keep = sorted(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)))
+                            if g.n else st.just(set())))
+    sub, ids = induced_subgraph(g, keep)
+    assert ids == keep
+    pos = {v: i for i, v in enumerate(keep)}
+    want = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    _assert_same_graph(sub, WeightedGraph(len(keep), want,
+                                          [g.weights[v] for v in keep]))
+
+    # the components of a random edge subset form a connected partition
+    contracted = data.draw(st.lists(st.sampled_from(g.edges()), unique=True)
+                           if g.m else st.just([]))
+    clusters = [tuple(cl) for cl in
+                connected_components(WeightedGraph(g.n, sorted(contracted)))]
+    q = quotient(g, clusters)
+    want = sorted({(min(q.cluster_of[u], q.cluster_of[v]),
+                    max(q.cluster_of[u], q.cluster_of[v]))
+                   for u, v in g.edges()
+                   if q.cluster_of[u] != q.cluster_of[v]})
+    _assert_same_graph(q.graph, WeightedGraph(
+        len(clusters), want, [math.fsum(g.weights[v] for v in cl)
+                              for cl in clusters]))
+
+    new = data.draw(st.lists(st.sampled_from([0, 2, 0.25, 7.5]),
+                             min_size=g.n, max_size=g.n))
+    _assert_same_graph(g.with_weights(new),
+                       WeightedGraph(g.n, g.edges(), new))
+    with pytest.raises(GraphError):
+        g.with_weights(new + [1.0])
+    if g.n:
+        with pytest.raises(GraphError):
+            g.with_weights([-1.0] + new[1:])
+
+    # quotient keeps its partition checks
+    big = [cl for cl in clusters if len(cl) > 1]
+    if len(clusters) > 1:
+        with pytest.raises(GraphError, match="two clusters"):
+            quotient(g, [clusters[0] + clusters[1][:1]] + list(clusters[1:]))
+        with pytest.raises(GraphError, match="does not cover"):
+            quotient(g, clusters[1:])
+    if big:
+        with pytest.raises(GraphError, match="does not cover"):
+            quotient(g, [cl for cl in clusters if cl != big[0]]
+                     + [big[0][1:]])
+    apart = [(i, j) for i in range(len(clusters)) for j in range(i)
+             if j not in q.graph.adj[i]]
+    if apart:
+        i, j = apart[0]
+        rest = [cl for k, cl in enumerate(clusters) if k not in (i, j)]
+        with pytest.raises(GraphError, match="not connected"):
+            quotient(g, rest + [clusters[i] + clusters[j]])
+
+
+def test_induced_subgraph_rejects_out_of_range_vertices():
+    with pytest.raises(GraphError):
+        induced_subgraph(path_graph(3), [0, 3])
+    with pytest.raises(GraphError):
+        induced_subgraph(path_graph(3), [-1, 1])

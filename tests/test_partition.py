@@ -2,13 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     GraphError,
     WeightedGraph,
+    ball,
     bfs_distances,
     close_cluster_pairs,
+    connected_components,
     greedy_dominating_set,
+    induced_subgraph,
     max_ball2_clusters,
     peel_threshold,
     power,
@@ -24,6 +29,7 @@ from coarsesep.generators import (
     path_graph,
     random_regular_graph,
 )
+from coarsesep.partition import _cluster_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,55 @@ def test_sparse_partition_singletons_and_empty():
     part = sparse_partition(WeightedGraph(3, []), 1.0, random.Random(0))
     part.validate(WeightedGraph(3, []))
     assert len(part.clusters) == 3
+
+
+def _brute_cluster_metrics(g, cluster):
+    sub, ids = induced_subgraph(g, cluster)
+    ecc = [max(bfs_distances(sub, [i])) for i in range(sub.n)]
+    # ids ascend, so the first least eccentricity has the smallest id
+    return max(ecc), ids[ecc.index(min(ecc))]
+
+
+def test_cluster_metrics_break_ties_to_smallest_id():
+    # rows of a grid are induced paths; block boundaries are induced even
+    # cycles; both have several members of least eccentricity
+    g = grid_graph(8)
+    clusters = [tuple(range(r * 8 + c0, r * 8 + c1))
+                for r in (0, 3) for c0 in (0, 2) for c1 in range(c0 + 1, 9)]
+    for top, left, h, w in ((0, 0, 3, 3), (2, 1, 3, 4), (1, 2, 5, 4),
+                            (3, 3, 4, 4)):
+        clusters.append(tuple(sorted(
+            (top + i) * 8 + left + j for i in range(h) for j in range(w)
+            if i in (0, h - 1) or j in (0, w - 1))))
+    for cl in clusters:
+        assert _cluster_metrics(g, cl) == _brute_cluster_metrics(g, cl)
+    assert _cluster_metrics(g, (0, 1, 2, 3)) == (3, 1)
+    assert _cluster_metrics(g, (0, 1, 2, 8, 10, 16, 17, 18)) == (4, 0)
+
+
+@st.composite
+def _hosts_with_clusters(draw):
+    n = draw(st.integers(1, 30))
+    p = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    g = gnp_graph(n, p, seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        g = power(g, draw(st.integers(2, 3)))
+    clusters = list(connected_components(g))
+    clusters += sparse_partition(g, draw(st.sampled_from([0.25, 1.0])),
+                                 random.Random(draw(st.integers(0, 99)))
+                                 ).clusters
+    for _ in range(3):
+        v = draw(st.integers(0, n - 1))
+        clusters.append(tuple(sorted(ball(g, v, draw(st.integers(0, 3))))))
+    return g, clusters
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_hosts_with_clusters())
+def test_cluster_metrics_match_brute_force(case):
+    g, clusters = case
+    for cl in clusters:
+        assert _cluster_metrics(g, tuple(cl)) == _brute_cluster_metrics(g, cl)
 
 
 def test_max_ball2_clusters_is_measured_not_assumed():

@@ -27,6 +27,7 @@ from coarsesep.generators import (
     gnp_graph,
     grid_graph,
     path_graph,
+    random_regular_graph,
 )
 from coarsesep.pipeline import _default_quotient_oracle
 
@@ -166,6 +167,41 @@ def test_override_heavy_clusters_join_separator():
 
 
 # ---------------------------------------------------------------------------
+# Weight scale
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.1, 1e-300, 1e-150, 1e300])
+def test_pipeline_gives_unit_answer_at_any_uniform_weight(scale):
+    # gamma ~ W^2 leaves the float range at 1e-300 and 1e300, and sums of
+    # 0.1 or 1.1 round where sums of ones do not; the pipeline divides the
+    # weights by the heaviest one before the core runs
+    for g in (grid_graph(20), random_regular_graph(300, 3, seed=0)):
+        scaled = g.with_weights([scale] * g.n)
+        for d in (3, 5):
+            unit = coarse_separator_or_model(g, K3, d)
+            res = coarse_separator_or_model(scaled, K3, d)
+            assert res.branch == unit.branch == "peeling"
+            assert res.certificate == unit.certificate
+            assert_verified_certificate(scaled, res, d=d)
+            # reported in the caller's scale: 0 or inf beyond float range
+            assert res.gamma == unit.gamma * scale * scale
+
+
+@pytest.mark.parametrize("scale", [1e-100, 3.0, 1e100])
+def test_congestion_override_is_in_the_callers_scale(scale):
+    g = path_graph(1200)
+    unit = coarse_separator_or_model(
+        g, K2, 3, PipelineConfig(congestion_override=1e15))
+    override = 1e15 * scale * scale
+    res = coarse_separator_or_model(
+        g.with_weights([scale] * g.n), K2, 3,
+        PipelineConfig(congestion_override=override))
+    assert unit.branch == res.branch == "rounding"
+    assert res.model == unit.model
+    assert res.gamma == override
+
+
+# ---------------------------------------------------------------------------
 # Star-quotient separators
 
 
@@ -237,6 +273,17 @@ def test_induced_separator_at_extreme_weight_scales(scale):
         assert cert.radius <= 1
         # not every star, as a failed search would return
         assert len(cert.centers) < len(star_partition(g)[0].clusters)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.1, 1e-300, 1e300])
+def test_induced_separator_gives_unit_answer_at_any_uniform_weight(scale):
+    for seed in range(16):
+        g = gnp_graph(150, 4 / 150, seed=seed)
+        scaled = g.with_weights([scale] * g.n)
+        cert = induced_minor_separator(scaled)
+        assert cert == induced_minor_separator(g)
+        assert verify_separator(scaled, cert.separator, cert.centers,
+                                cert.radius).ok
 
 
 @st.composite
