@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -423,6 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Pin BLAS to one thread: the sweep cuts' dense `eigh` ran 8-49x slower
+    # with BLAS threads competing for two cores.  numpy is imported lazily,
+    # so this runs before it loads; `setdefault` keeps a value set outside.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

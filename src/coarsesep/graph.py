@@ -448,14 +448,28 @@ def quotient(g: WeightedGraph, clusters: Sequence[Sequence[int]]) -> QuotientGra
     missing = [v for v in range(g.n) if cluster_of[v] == -1]
     if missing:
         raise GraphError(f"partition does not cover vertex {missing[0]}")
-    for i, cl in enumerate(norm):
-        if len(connected_components(g, cl)) != 1:
-            raise GraphError(f"cluster {i} is not connected")
+    # one search per cluster, inside it, both checks that it is connected
+    # and collects the clusters it touches
     adj = g.adj
+    reached = [False] * g.n
     rows = []
     for i, cl in enumerate(norm):
-        nbrs = {cluster_of[v] for u in cl for v in adj[u]}
-        nbrs.discard(i)
+        reached[cl[0]] = True
+        stack = [cl[0]]
+        count = 1
+        nbrs = set()
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                c = cluster_of[v]
+                if c != i:
+                    nbrs.add(c)
+                elif not reached[v]:
+                    reached[v] = True
+                    count += 1
+                    stack.append(v)
+        if count != len(cl):
+            raise GraphError(f"cluster {i} is not connected")
         rows.append(sorted(nbrs))
     qg = WeightedGraph._derived(rows, [g.weight_of(cl) for cl in norm])
     return QuotientGraph(qg, tuple(norm), tuple(cluster_of))

@@ -2,15 +2,17 @@
 
 `sparse_partition` builds connected clusters of small strong diameter with
 exponentially shifted BFS (each vertex draws a capped exponential head
-start; clusters are the resulting Voronoi cells).  The cap alone
+start; clusters are the resulting Voronoi cells, found by a multi-source
+Dijkstra that pushes a vertex only when its key improves).  The cap alone
 guarantees the diameter contract (Miller, Peng and Xu, SPAA 2013), so each
 cell is measured once, for its strong diameter and center, and never
-re-split; how well balls of radius 2 spread over few clusters is measured,
-not enforced.
+re-split; the measurement grows all members' balls at once as int bitsets.
+How well balls of radius 2 spread over few clusters is measured, not
+enforced.
 
 `close_cluster_pairs` counts the cluster pairs at quotient distance <= 2
-and answers single queries from the quotient adjacency; the pairs
-themselves are never stored.
+with one int bitset per cluster and answers single queries from the
+quotient adjacency; the pairs themselves are never stored.
 
 `star_partition` peels low-degree vertices into singletons and covers the
 dense residual with a greedy dominating set, giving radius-1 clusters.
@@ -68,38 +70,37 @@ class ConnectedPartition:
 def _cluster_metrics(g: WeightedGraph, cluster: tuple[int, ...]) -> tuple[int, int]:
     """(strong diameter, eccentricity-minimizing center) of G[cluster].
 
-    One BFS per member over the cluster's own adjacency, built once; the
-    center is the first member (the smallest id) of least eccentricity.
+    Grows every member's ball at once as an int bitset over the cluster's
+    own adjacency, built once: each round, a member's ball becomes the
+    union of its neighbours' balls of the round before.  A member's
+    eccentricity is the last round in which its ball grew; a ball that
+    stops growing is its whole component and stays finished, so a
+    disconnected set gives each member its eccentricity in its component.
+    The center is the first member (the smallest id) of least eccentricity.
     """
     idx = {v: i for i, v in enumerate(cluster)}
     adj = g.adj
     local = [[idx[u] for u in adj[v] if u in idx] for v in cluster]
     k = len(cluster)
-    mark = [-1] * k
-    diam = 0
-    best_ecc = k  # above every eccentricity
-    center = cluster[0]
-    for s in range(k):
-        mark[s] = s
-        frontier = [s]
-        ecc = 0
-        while True:
-            nxt = []
-            for x in frontier:
-                for y in local[x]:
-                    if mark[y] != s:
-                        mark[y] = s
-                        nxt.append(y)
-            if not nxt:
-                break
-            ecc += 1
-            frontier = nxt
-        if ecc > diam:
-            diam = ecc
-        if ecc < best_ecc:
-            best_ecc = ecc
-            center = cluster[s]
-    return diam, center
+    balls = [1 << s for s in range(k)]
+    ecc = [0] * k
+    growing = range(k)
+    rnd = 0
+    while growing:
+        rnd += 1
+        grown = []
+        for s in growing:
+            b = old = balls[s]
+            for x in local[s]:
+                b |= balls[x]
+            if b != old:
+                grown.append((s, b))
+        # written back only now, so every union above read last round's balls
+        for s, b in grown:
+            balls[s] = b
+            ecc[s] = rnd
+        growing = [s for s, _ in grown]
+    return max(ecc), cluster[ecc.index(min(ecc))]
 
 
 def sparse_partition(g: WeightedGraph, eps: float,
@@ -108,9 +109,12 @@ def sparse_partition(g: WeightedGraph, eps: float,
 
     Every vertex draws an Exp(eps/8) head start capped at 16/eps and the
     clusters are the Voronoi cells of the shifted BFS (ties by vertex id).
-    The bound holds by construction: v is popped at key <= -shift[v] <= 0,
-    so its depth in its owner's tree is at most shift[owner] <= 16/eps, and
-    that tree lies inside the cell.
+    The search is a Dijkstra with decrease-key by lazy deletion: a vertex
+    gets a heap entry only when a relaxation improves its least pending
+    (key, source), which leaves every owner as pushing each relaxation
+    would.  The bound holds by construction: v is popped at key
+    <= -shift[v] <= 0, so its depth in its owner's tree is at most
+    shift[owner] <= 16/eps, and that tree lies inside the cell.
     """
     if not (0 < eps <= 1):
         raise GraphError("eps must lie in (0, 1]")
@@ -124,9 +128,18 @@ def sparse_partition(g: WeightedGraph, eps: float,
     shift = [min(rng.expovariate(beta), cap) for _ in range(n)]
     # Multi-source Dijkstra on keys dist(u, c) - shift[c]; owner follows the
     # relaxing neighbor, so every cell is a tree and hence connected.
+    # pending[u] is the least (key, src) pushed for u so far, and a push is
+    # made only when it improves on it.  Owners are those of pushing every
+    # relaxation: each push has key k + 1 above the popped key k, so popped
+    # keys never decrease and every later push is larger than the entry
+    # just popped.  Hence the first entry popped for u is the least entry
+    # ever pushed for u, and a skipped entry is never below pending[u], so
+    # it can never be that one.
     owner = [-1] * n
+    pending = [(-shift[v], v) for v in range(n)]
     heap = [(-shift[v], v, v) for v in range(n)]
     heapq.heapify(heap)
+    adj = g.adj
     assigned = 0
     while heap and assigned < n:
         k, v, src = heapq.heappop(heap)
@@ -134,9 +147,11 @@ def sparse_partition(g: WeightedGraph, eps: float,
             continue
         owner[v] = owner[src] if owner[src] != -1 else src
         assigned += 1
-        for u in g.adj[v]:
-            if owner[u] == -1:
-                heapq.heappush(heap, (k + 1.0, u, v))
+        entry = (k + 1.0, v)
+        for u in adj[v]:
+            if owner[u] == -1 and entry < pending[u]:
+                pending[u] = entry
+                heapq.heappush(heap, (entry[0], u, v))
     by_owner: dict[int, list[int]] = {}
     for v in range(n):
         by_owner.setdefault(owner[v], []).append(v)
@@ -195,11 +210,25 @@ def close_cluster_pairs(q: QuotientGraph) -> ClusterClosePairs:
     Distance is measured in the quotient graph itself (two clusters one
     intermediate cluster apart count as close no matter how wide that
     intermediate cluster is), which is the relation the rounding step's
-    spread check needs.
+    spread check needs.  The count ORs the int bitset of each cluster's
+    closed neighbourhood over its own closed neighbourhood and adds up the
+    popcounts.
     """
-    rows = tuple(frozenset(a) for a in q.graph.adj)
-    size = sum(len(row.union((i,), *(rows[j] for j in row)))
-               for i, row in enumerate(rows))
+    adj = q.graph.adj
+    rows = tuple(frozenset(a) for a in adj)
+    # masks[i] holds bit i and the bits of row i; the clusters close to i
+    # are the union of the masks of i's closed neighbourhood
+    masks = []
+    for i, a in enumerate(adj):
+        m = 1 << i
+        for j in a:
+            m |= 1 << j
+        masks.append(m)
+    size = 0
+    for a, m in zip(adj, masks):
+        for j in a:
+            m |= masks[j]
+        size += m.bit_count()
     return ClusterClosePairs(rows, size)
 
 
@@ -303,5 +332,8 @@ def star_partition(g: WeightedGraph) -> tuple[ConnectedPartition, QuotientGraph]
             strong = max(strong, d)
     part = ConnectedPartition(tuple(tuple(cl) for cl in clusters),
                               tuple(centers), strong)
-    part.validate(g)
+    # quotient checks the partition itself; only the centers are left
+    for i, (cl, c) in enumerate(zip(part.clusters, part.centers)):
+        if c not in cl:
+            raise GraphError(f"center of cluster {i} lies outside it")
     return part, quotient(g, part.clusters)

@@ -189,6 +189,16 @@ def test_quotient_rejects_bad_partitions():
         quotient(g, [(0, 2), (1, 3)])  # disconnected cluster
 
 
+def test_quotient_names_the_first_disconnected_cluster():
+    g = path_graph(6)
+    for clusters, first in (([(0, 1), (3, 5), (2, 4)], 1),
+                            ([(2, 4), (0, 1), (3, 5)], 0),
+                            ([(0,), (1,), (2, 4), (3, 5)], 2)):
+        with pytest.raises(GraphError,
+                           match=f"^cluster {first} is not connected$"):
+            quotient(g, clusters)
+
+
 def test_complete_graph_structure():
     g = complete_graph(5)
     assert g.m == 10

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coarsesep
 from coarsesep import FatModel, PatternGraph, WeightedGraph
 from coarsesep.cli import main
 from coarsesep.fileio import (
@@ -116,6 +121,39 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# runs `main` in a fresh interpreter and prints the BLAS variables after it,
+# and whether importing the CLI had already loaded numpy (the pin in `main`
+# only reaches BLAS if it had not)
+_PIN_SCRIPT = """
+import json, os, sys
+from coarsesep.cli import main
+early = "numpy" in sys.modules
+code = main(["gen", "--family", "path", "--n", "3"])
+print(json.dumps([early, code] + [os.environ.get(v) for v in %r]))
+""" % (_BLAS_VARS,)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_pins_blas_threads_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(coarsesep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    early, code, *values = json.loads(out.splitlines()[-1])
+    assert not early
+    assert code == 0
+    want = dict.fromkeys(_BLAS_VARS, "1")
+    if preset is not None:
+        want["OMP_NUM_THREADS"] = preset
+    assert dict(zip(_BLAS_VARS, values)) == want
 
 
 def test_cli_gen_writes_parseable_graph(tmp_path, capsys):

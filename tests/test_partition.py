@@ -1,8 +1,9 @@
+import heapq
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsesep import (
@@ -75,6 +76,52 @@ def test_sparse_partition_singletons_and_empty():
     assert len(part.clusters) == 3
 
 
+def _reference_partition(g, eps, rng):
+    """`sparse_partition` with a heap entry for every relaxation."""
+    n = g.n
+    shift = [min(rng.expovariate(eps / 8.0), 16.0 / eps) for _ in range(n)]
+    owner = [-1] * n
+    heap = [(-shift[v], v, v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        k, v, src = heapq.heappop(heap)
+        if owner[v] != -1:
+            continue
+        owner[v] = owner[src] if owner[src] != -1 else src
+        for u in g.adj[v]:
+            if owner[u] == -1:
+                heapq.heappush(heap, (k + 1.0, u, v))
+    by_owner = {}
+    for v in range(n):
+        by_owner.setdefault(owner[v], []).append(v)
+    clusters = tuple(tuple(vs) for _, vs in sorted(by_owner.items()))
+    metrics = [_brute_cluster_metrics(g, cl) for cl in clusters]
+    return (clusters, tuple(c for _, c in metrics),
+            max((d for d, _ in metrics), default=0))
+
+
+@st.composite
+def _partition_cases(draw):
+    # sparse gnp hosts have isolated vertices and several components
+    n = draw(st.integers(1, 60))
+    p = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]))
+    g = gnp_graph(n, p, seed=draw(st.integers(0, 2**16)))
+    r = draw(st.integers(1, 5))
+    if r > 1:
+        g = power(g, r)
+    return (g, draw(st.sampled_from([0.25, 0.5, 1.0])),
+            draw(st.integers(0, 2**32)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_partition_cases())
+def test_sparse_partition_matches_push_every_relaxation(case):
+    g, eps, seed = case
+    part = sparse_partition(g, eps, random.Random(seed))
+    assert (part.clusters, part.centers, part.strong_diameter) == \
+        _reference_partition(g, eps, random.Random(seed))
+
+
 def _brute_cluster_metrics(g, cluster):
     sub, ids = induced_subgraph(g, cluster)
     ecc = [max(bfs_distances(sub, [i])) for i in range(sub.n)]
@@ -99,6 +146,12 @@ def test_cluster_metrics_break_ties_to_smallest_id():
     assert _cluster_metrics(g, (0, 1, 2, 8, 10, 16, 17, 18)) == (4, 0)
 
 
+def test_cluster_metrics_on_a_disconnected_set():
+    # each member's eccentricity is taken in its own component
+    assert _cluster_metrics(path_graph(6), (0, 1, 2, 4, 5)) == (2, 1)
+    assert _cluster_metrics(WeightedGraph(3, []), (0, 1, 2)) == (0, 0)
+
+
 @st.composite
 def _hosts_with_clusters(draw):
     n = draw(st.integers(1, 30))
@@ -116,8 +169,13 @@ def _hosts_with_clusters(draw):
     return g, clusters
 
 
+# the whole of grid(9) and a 70-vertex cycle are clusters of more than 64
+# members, so their balls span several machine words
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_hosts_with_clusters())
+@example((grid_graph(9), [tuple(range(81)), tuple(range(0, 81, 9))]))
+@example((cycle_graph(70), [tuple(range(70)), tuple(range(69))]))
+@example((power(random_regular_graph(200, 3, 2), 3), [tuple(range(200))]))
 def test_cluster_metrics_match_brute_force(case):
     g, clusters = case
     for cl in clusters:
