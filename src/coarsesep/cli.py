@@ -32,13 +32,17 @@ from .pipeline import (ModelFound, PipelineConfig, PipelineFailure,
                        induced_minor_separator)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _emit(args, obj, human: str) -> None:
+    """Print `obj` as JSON under --json, else `human` unless --quiet."""
+    if args.json:
+        print(json.dumps(obj, sort_keys=True, indent=2))
+    elif not args.quiet:
+        print(human)
 
 
 def _load_graph(args) -> WeightedGraph:
     g = read_graph(args.graph)
-    if getattr(args, "weights", None):
+    if args.weights:
         g = g.with_weights(read_weights(args.weights, g.n))
     return g
 
@@ -50,6 +54,11 @@ def _separator_json(cert) -> dict:
         "centers": sorted(cert.centers),
         "radius": cert.radius,
     }
+
+
+def _separator_sentence(cert) -> str:
+    return (f"separator of {len(cert.separator)} vertices covered by "
+            f"{len(cert.centers)} balls of radius {cert.radius}")
 
 
 def _result_json(res) -> dict:
@@ -114,14 +123,11 @@ def _cmd_partition(args) -> int:
         "close_pairs": len(close),
         "max_ball2_clusters": max_ball2_clusters(g, part),
     }
-    if args.json:
-        _print_json({**stats,
-                     "members": [list(c) for c in part.clusters],
-                     "centers": list(part.centers)})
-    elif not args.quiet:
-        print(f"{stats['clusters']} clusters, strong diameter "
-              f"{stats['strong_diameter']}, {stats['close_pairs']} close "
-              f"pairs, sparsity {stats['max_ball2_clusters']}")
+    _emit(args, {**stats, "members": [list(c) for c in part.clusters],
+                 "centers": list(part.centers)},
+          f"{stats['clusters']} clusters, strong diameter "
+          f"{stats['strong_diameter']}, {stats['close_pairs']} close "
+          f"pairs, sparsity {stats['max_ball2_clusters']}")
     return 0
 
 
@@ -144,10 +150,7 @@ def _cmd_flowcut(args) -> int:
                "sparsity": res.sparsity}
         human = (f"cut with separator size {len(res.separator)}, sparsity "
                  f"{res.sparsity:.6g}")
-    if args.json:
-        _print_json(obj)
-    elif not args.quiet:
-        print(human)
+    _emit(args, obj, human)
     return 0
 
 
@@ -162,33 +165,24 @@ def _cmd_separate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    if args.json:
-        _print_json(obj)
-    elif not args.quiet:
-        if isinstance(res, SeparatorFound):
-            cert = res.certificate
-            print(f"separator of {len(cert.separator)} vertices covered by "
-                  f"{len(cert.centers)} balls of radius {cert.radius}")
-        elif isinstance(res, ModelFound):
-            sizes = sorted(len(s) for s in res.model.vertex_sets.values())
-            print(f"model at fatness {res.model.fatness}, branch-set sizes "
-                  f"{sizes}")
-        else:
-            print(f"failure after {res.trials} trials "
-                  f"(collisions {res.collision_failures}, spread "
-                  f"{res.spread_failures}, lifts {res.lift_failures})")
+    if isinstance(res, SeparatorFound):
+        human = _separator_sentence(res.certificate)
+    elif isinstance(res, ModelFound):
+        sizes = sorted(len(s) for s in res.model.vertex_sets.values())
+        human = (f"model at fatness {res.model.fatness}, branch-set sizes "
+                 f"{sizes}")
+    else:
+        human = (f"failure after {res.trials} trials "
+                 f"(collisions {res.collision_failures}, spread "
+                 f"{res.spread_failures}, lifts {res.lift_failures})")
+    _emit(args, obj, human)
     return 2 if isinstance(res, PipelineFailure) else 0
 
 
 def _cmd_induced_sep(args) -> int:
     g = _load_graph(args)
     cert = induced_minor_separator(g)
-    obj = _separator_json(cert)
-    if args.json:
-        _print_json(obj)
-    elif not args.quiet:
-        print(f"separator of {len(cert.separator)} vertices covered by "
-              f"{len(cert.centers)} balls of radius {cert.radius}")
+    _emit(args, _separator_json(cert), _separator_sentence(cert))
     return 0
 
 
@@ -197,14 +191,9 @@ def _cmd_verify_model(args) -> int:
     pattern = read_pattern(args.pattern)
     model = read_model(args.model)
     report = verify_fat_model(g, pattern, model, args.fatness)
-    if args.json:
-        _print_json({"ok": report.ok, "violations": list(report.violations)})
-    elif not args.quiet:
-        if report.ok:
-            print(f"model is valid at fatness {args.fatness}")
-        else:
-            for v in report.violations:
-                print(f"violation: {v}")
+    _emit(args, {"ok": report.ok, "violations": list(report.violations)},
+          f"model is valid at fatness {args.fatness}" if report.ok
+          else "\n".join(f"violation: {v}" for v in report.violations))
     return 0 if report.ok else 2
 
 
@@ -212,14 +201,12 @@ def _cmd_verify_separator(args) -> int:
     g = _load_graph(args)
     res = read_separator_result(args.result)
     report = verify_separator(g, res.separator, res.centers, res.radius)
-    if args.json:
-        _print_json({"ok": report.ok, "balanced": report.balanced,
-                     "covered": report.covered,
-                     "heaviest_component": report.heaviest_component,
-                     "uncovered": report.uncovered})
-    elif not args.quiet:
-        print(f"balanced={report.balanced} covered={report.covered} "
-              f"heaviest={report.heaviest_component:.6g}")
+    _emit(args, {"ok": report.ok, "balanced": report.balanced,
+                 "covered": report.covered,
+                 "heaviest_component": report.heaviest_component,
+                 "uncovered": report.uncovered},
+          f"balanced={report.balanced} covered={report.covered} "
+          f"heaviest={report.heaviest_component:.6g}")
     return 0 if report.ok else 2
 
 
@@ -231,38 +218,25 @@ def _cmd_oracle(args) -> int:
         pattern = read_pattern(args.pattern)
         model = brute_force_fat_minor(g, pattern, args.fatness)
         if model is None:
-            if args.json:
-                _print_json({"exists": False})
-            elif not args.quiet:
-                print("no model exists")
+            _emit(args, {"exists": False}, "no model exists")
             return 2
-        if args.json:
-            _print_json({"exists": True, "model": model.to_jsonable()})
-        elif not args.quiet:
-            print(f"model exists at fatness {args.fatness}")
+        _emit(args, {"exists": True, "model": model.to_jsonable()},
+              f"model exists at fatness {args.fatness}")
         return 0
     if args.kind == "sparsest":
         sep = exact_sparsest_separation(g)
         if sep is None:
-            if args.json:
-                _print_json({"exists": False})
-            elif not args.quiet:
-                print("no separation exists")
+            _emit(args, {"exists": False}, "no separation exists")
             return 2
-        if args.json:
-            _print_json({"exists": True, "side_a": sorted(sep.side_a),
-                         "side_b": sorted(sep.side_b),
-                         "sparsity": sep.sparsity})
-        elif not args.quiet:
-            print(f"sparsest separation has sparsity {sep.sparsity:.6g}")
+        _emit(args, {"exists": True, "side_a": sorted(sep.side_a),
+                     "side_b": sorted(sep.side_b), "sparsity": sep.sparsity},
+              f"sparsest separation has sparsity {sep.sparsity:.6g}")
         return 0
     s = exact_min_balanced_separator(g)
     if s is None:  # pragma: no cover - removing everything always balances
         return 2
-    if args.json:
-        _print_json({"separator": sorted(s)})
-    elif not args.quiet:
-        print(f"minimum balanced separator has {len(s)} vertices")
+    _emit(args, {"separator": sorted(s)},
+          f"minimum balanced separator has {len(s)} vertices")
     return 0
 
 
@@ -323,6 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
     common.add_argument("--quiet", action="store_true",
                         help="suppress human-readable output")
+    # the graph file and its optional weights, for every command reading one
+    graph_args = argparse.ArgumentParser(add_help=False)
+    graph_args.add_argument("graph")
+    graph_args.add_argument("--weights", default=None)
 
     parser = argparse.ArgumentParser(
         prog="coarsesep",
@@ -345,63 +323,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
-    p = subs.add_parser("partition", parents=[common],
+    p = subs.add_parser("partition", parents=[common, graph_args],
                         help="sparse low-diameter partition statistics")
-    p.add_argument("graph")
     p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_partition)
 
-    p = subs.add_parser("flowcut", parents=[common],
+    p = subs.add_parser("flowcut", parents=[common, graph_args],
                         help="concurrent flow or sparse separation")
-    p.add_argument("graph")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_flowcut)
 
-    p = subs.add_parser("separate", parents=[common],
+    p = subs.add_parser("separate", parents=[common, graph_args],
                         help="balanced separator certificate or fat model")
-    p.add_argument("graph")
     p.add_argument("--pattern", required=True)
     p.add_argument("--fatness", type=int, default=3)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--gamma-override", type=float, default=None,
                    dest="gamma_override")
-    p.add_argument("--weights", default=None)
     p.add_argument("--out", default=None,
                    help="also write the JSON result here")
     p.set_defaults(func=_cmd_separate)
 
-    p = subs.add_parser("induced-sep", parents=[common],
+    p = subs.add_parser("induced-sep", parents=[common, graph_args],
                         help="balanced separator from a star quotient")
-    p.add_argument("graph")
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_induced_sep)
 
-    p = subs.add_parser("verify-model", parents=[common],
+    p = subs.add_parser("verify-model", parents=[common, graph_args],
                         help="check a fat-minor model file")
-    p.add_argument("graph")
     p.add_argument("--pattern", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--fatness", type=int, required=True)
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_verify_model)
 
-    p = subs.add_parser("verify-separator", parents=[common],
+    p = subs.add_parser("verify-separator", parents=[common, graph_args],
                         help="check a separator result file")
-    p.add_argument("graph")
     p.add_argument("--result", required=True)
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_verify_separator)
 
-    p = subs.add_parser("oracle", parents=[common],
+    # `kind` comes before the graph, so it needs a parent of its own
+    oracle_kind = argparse.ArgumentParser(add_help=False)
+    oracle_kind.add_argument("kind",
+                             choices=["fatminor", "sparsest", "balanced"])
+    p = subs.add_parser("oracle", parents=[common, oracle_kind, graph_args],
                         help="exhaustive ground truth on small inputs")
-    p.add_argument("kind", choices=["fatminor", "sparsest", "balanced"])
-    p.add_argument("graph")
     p.add_argument("--pattern", default=None)
     p.add_argument("--fatness", type=int, default=1)
-    p.add_argument("--weights", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("bench", parents=[common],

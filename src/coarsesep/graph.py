@@ -3,14 +3,21 @@
 Everything in this package works on simple undirected graphs with
 nonnegative vertex weights and 0-based integer vertex ids.  Distances are
 hop counts; ``math.inf`` marks unreachable pairs.
+
+Every search here walks `bfs_layers(g, sources, seen, radius)`, which
+yields the frontiers at depth 1, 2, ..., `radius` as lists in FIFO
+discovery order and stops at the first empty one.  The caller owns the
+flag list `seen` and flags the sources; the generator flags each vertex it
+reaches and never enters a flagged one.  So pre-flagged vertices are walls
+(outside `within`, already covered), and a caller that clears its flags
+can reuse one list for many searches.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -128,24 +135,47 @@ def _checked_weights(weights: Sequence[float], n: int) -> list[float]:
     return ws
 
 
+def bfs_layers(g: WeightedGraph, sources: Iterable[int], seen: list[bool],
+               radius: float = math.inf) -> Iterator[list[int]]:
+    """BFS frontiers at depth 1, 2, ..., `radius`; see the module doc."""
+    adj = g.adj
+    layer = list(sources)
+    depth = 0
+    while depth < radius:
+        depth += 1
+        nxt = []
+        for u in layer:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(v)
+        if not nxt:
+            return
+        yield nxt
+        layer = nxt
+
+
+def _check_ids(g: WeightedGraph, ids: Collection[int]) -> None:
+    """Raise `GraphError` unless every id in `ids` is a vertex of `g`."""
+    if ids:
+        lo, hi = min(ids), max(ids)
+        if lo < 0 or hi >= g.n:
+            raise GraphError(f"vertex {lo if lo < 0 else hi} "
+                             f"out of range for n={g.n}")
+
+
 def bfs_distances(g: WeightedGraph, sources: Iterable[int]) -> list[float]:
     """Hop distance from the nearest source, ``inf`` when unreachable."""
+    start = list(sources)
+    _check_ids(g, start)
     dist: list[float] = [math.inf] * g.n
-    q: deque[int] = deque()
-    for s in sources:
-        if not (0 <= s < g.n):
-            raise GraphError(f"source {s} out of range")
-        if dist[s] == math.inf:
-            dist[s] = 0
-            q.append(s)
-    adj = g.adj
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == math.inf:
-                dist[v] = du
-                q.append(v)
+    seen = [False] * g.n
+    for s in start:
+        seen[s] = True
+        dist[s] = 0
+    for d, layer in enumerate(bfs_layers(g, start, seen), 1):
+        for v in layer:
+            dist[v] = d
     return dist
 
 
@@ -153,18 +183,12 @@ def ball(g: WeightedGraph, center: int, radius: int) -> set[int]:
     """Closed ball: all vertices within `radius` hops of `center`."""
     if radius < 0:
         raise GraphError("radius must be nonnegative")
+    _check_ids(g, (center,))
+    seen = [False] * g.n
+    seen[center] = True
     out = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if v not in out:
-                    out.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
+    for layer in bfs_layers(g, (center,), seen, radius):
+        out.update(layer)
     return out
 
 
@@ -174,25 +198,18 @@ def set_distance(g: WeightedGraph, xs: Iterable[int], ys: Iterable[int]) -> floa
     yset = set(ys)
     if not xset or not yset:
         raise GraphError("set_distance requires nonempty sets")
-    if xset & yset:
+    _check_ids(g, xset | yset)
+    if not xset.isdisjoint(yset):
         return 0
-    # BFS from the smaller side until the other side is hit.
+    # BFS from the smaller side until a layer meets the other side
     if len(yset) < len(xset):
         xset, yset = yset, xset
-    dist = [-1] * g.n
-    q: deque[int] = deque()
+    seen = [False] * g.n
     for s in xset:
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for v in g.adj[u]:
-            if dist[v] == -1:
-                if v in yset:
-                    return du
-                dist[v] = du
-                q.append(v)
+        seen[s] = True
+    for d, layer in enumerate(bfs_layers(g, xset, seen), 1):
+        if not yset.isdisjoint(layer):
+            return d
     return math.inf
 
 
@@ -202,24 +219,17 @@ def power(g: WeightedGraph, r: int) -> WeightedGraph:
         raise GraphError("power exponent must be >= 1")
     if r == 1:
         return WeightedGraph._derived(g.adj, g.weights)
-    adj = g.adj
+    # one flag list for every row, cleared after each
+    seen = [False] * g.n
     rows = []
     for u in range(g.n):
-        # truncated BFS to depth r; the row is everything it reaches
-        seen = {u}
+        seen[u] = True
         row: list[int] = []
-        frontier = [u]
-        for _ in range(r):
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            if not nxt:
-                break
-            row += nxt
-            frontier = nxt
+        for layer in bfs_layers(g, (u,), seen, r):
+            row += layer
+        seen[u] = False
+        for v in row:
+            seen[v] = False
         row.sort()
         rows.append(row)
     return WeightedGraph._derived(rows, g.weights)
@@ -229,29 +239,23 @@ def connected_components(g: WeightedGraph,
                          within: Iterable[int] | None = None) -> list[list[int]]:
     """Sorted vertex lists of the components (of the induced subgraph)."""
     if within is None:
-        allowed = None
-        order: Iterable[int] = range(g.n)
+        order: Sequence[int] = range(g.n)
+        seen = [False] * g.n
     else:
-        allowed = set(within)
-        order = sorted(allowed)
-    seen: set[int] = set()
+        # vertices outside `within` start flagged, so no search enters them
+        order = sorted(set(within))
+        _check_ids(g, order)
+        seen = [True] * g.n
+        for v in order:
+            seen[v] = False
     comps: list[list[int]] = []
     for s in order:
-        if s in seen:
+        if seen[s]:
             continue
+        seen[s] = True
         comp = [s]
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if v in seen:
-                    continue
-                if allowed is not None and v not in allowed:
-                    continue
-                seen.add(v)
-                comp.append(v)
-                q.append(v)
+        for layer in bfs_layers(g, (s,), seen):
+            comp += layer
         comp.sort()
         comps.append(comp)
     return comps
@@ -261,9 +265,7 @@ def induced_subgraph(g: WeightedGraph,
                      vertices: Iterable[int]) -> tuple[WeightedGraph, list[int]]:
     """Induced subgraph plus the list mapping new ids -> original ids."""
     ids = sorted(set(vertices))
-    if ids and not (0 <= ids[0] and ids[-1] < g.n):
-        raise GraphError(f"vertex {ids[0] if ids[0] < 0 else ids[-1]} "
-                         f"out of range for n={g.n}")
+    _check_ids(g, ids)
     pos = {v: i for i, v in enumerate(ids)}
     adj = g.adj
     # ids ascend, so each relabelled row stays sorted
@@ -378,25 +380,18 @@ def greedy_cover(g: WeightedGraph, vertices: Iterable[int],
     """
     if radius < 0:
         raise GraphError("radius must be nonnegative")
+    order = sorted(set(vertices))
+    _check_ids(g, order)
     blocked = [False] * g.n
     centers: list[int] = []
-    for v in sorted(set(vertices)):
+    for v in order:
         if blocked[v]:
             continue
         centers.append(v)
         # mark everything within `radius` of the new center
         blocked[v] = True
-        frontier = [v]
-        for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for y in g.adj[x]:
-                    if not blocked[y]:
-                        blocked[y] = True
-                        nxt.append(y)
-            if not nxt:
-                break
-            frontier = nxt
+        for _ in bfs_layers(g, (v,), blocked, radius):
+            pass
     return centers
 
 
@@ -406,6 +401,7 @@ def coverage_radius(g: WeightedGraph, vertices: Iterable[int],
     vs = list(vertices)
     if not vs:
         return 0
+    _check_ids(g, vs)
     cs = list(centers)
     if not cs:
         return math.inf

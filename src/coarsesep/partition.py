@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import (GraphError, QuotientGraph, WeightedGraph,
+from .graph import (GraphError, QuotientGraph, WeightedGraph, bfs_layers,
                     connected_components, quotient)
 
 
@@ -166,21 +166,17 @@ def max_ball2_clusters(g: WeightedGraph, part: ConnectedPartition) -> int:
     if g.n == 0:
         return 0
     cluster_of = part.cluster_of_map(g.n)
+    # one flag list for every search, cleared after each
+    seen = [False] * g.n
     best = 0
     for u in range(g.n):
-        seen = {u}
-        hit = {cluster_of[u]}
-        frontier = [u]
-        for _ in range(2):
-            nxt = []
-            for x in frontier:
-                for y in g.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        hit.add(cluster_of[y])
-                        nxt.append(y)
-            frontier = nxt
-        best = max(best, len(hit))
+        seen[u] = True
+        reached = [u]
+        for layer in bfs_layers(g, (u,), seen, 2):
+            reached += layer
+        for v in reached:
+            seen[v] = False
+        best = max(best, len({cluster_of[v] for v in reached}))
     return best
 
 

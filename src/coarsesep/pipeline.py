@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
@@ -187,6 +187,18 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
 # The 3-fat core
 
 
+def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
+    """`g` with its weights divided by the heaviest one, and that weight.
+
+    Uniform weights become exactly 1.  When no weight needs dividing (the
+    heaviest is 1, or none is positive) the result is `g` itself and 1.
+    """
+    top = max(g.weights, default=0.0)
+    if top > 0 and top != 1.0:
+        return g.with_weights([w / top for w in g.weights]), top
+    return g, 1.0
+
+
 def core_3fat(g: WeightedGraph, pattern: PatternGraph,
               config: PipelineConfig | None = None
               ) -> SeparatorFound | ModelFound | PipelineFailure:
@@ -195,6 +207,13 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     Certificates use balls of radius at most ceil(32 / eps).  The pattern
     must have at least two vertices unless it is trivial (a one-vertex
     pattern embeds anywhere, an empty pattern everywhere).
+
+    The core works on the weights divided by the heaviest one.  Balance
+    and sparsity only rescale with W, and uniform weights become exactly 1,
+    so at any scale from 1e-300 to 1e300 they give the unit-weight answer
+    (unit weights are used as they are).  `congestion_override` and the
+    reported `gamma` scale as W^2 and are in the caller's scale;
+    certificates are verified on `g`.
     """
     config = config or PipelineConfig()
     if pattern.n == 0:
@@ -210,20 +229,24 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     sub = two_subdivision(aug)
     h = sub.size
     rng = random.Random(config.seed)
+    host, top = _heaviest_weight_one(g)
 
-    part = sparse_partition(g, config.eps, rng)
-    q = quotient(g, part.clusters)
+    part = sparse_partition(host, config.eps, rng)
+    q = quotient(host, part.clusters)
     close = close_cluster_pairs(q)
-    total = g.total_weight
-    if config.congestion_override is not None:
-        gamma = config.congestion_override
+    total = host.total_weight
+    override = config.congestion_override
+    if override is not None:
+        gamma = override / top / top
     else:
         gamma = total * total / (32.0 * h * math.sqrt(len(close)))
+    # gamma in the caller's scale: 0 or inf beyond the float range
+    reported = override if override is not None else gamma * top * top
 
     outcome = balanced_separator_or_flow(q.graph, gamma)
     if isinstance(outcome, BalancedSeparatorResult):
-        cert = _certificate_from_clusters(g, part, outcome.separator)
-        return _checked(g, cert, "peeling", gamma)
+        cert = _certificate_from_clusters(host, part, outcome.separator)
+        return _checked(g, cert, "peeling", reported)
 
     # a flow survived on a heavy set of clusters
     heavy: HeavyFlowResult = outcome
@@ -241,26 +264,14 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
         # the peeled separator leaves only light components behind
         ids = set(heavy.separator)
         ids.update(heavy.vertices[x] for x in heavy_local)
-        cert = _certificate_from_clusters(g, part, ids)
-        return _checked(g, cert, "heavy-clusters", gamma)
-    return _round_flow_to_model(g, pattern, aug, sub, q, close, heavy,
-                                light_local, config, rng, gamma)
+        cert = _certificate_from_clusters(host, part, ids)
+        return _checked(g, cert, "heavy-clusters", reported)
+    return _round_flow_to_model(host, pattern, aug, sub, q, close, heavy,
+                                light_local, config, rng, reported)
 
 
 # ---------------------------------------------------------------------------
 # General fatness via graph powers
-
-
-def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """`g` with its weights divided by the heaviest one, and that weight.
-
-    Uniform weights become exactly 1.  When no weight needs dividing (the
-    heaviest is 1, or none is positive) the result is `g` itself and 1.
-    """
-    top = max(g.weights, default=0.0)
-    if top > 0 and top != 1.0:
-        return g.with_weights([w / top for w in g.weights]), top
-    return g, 1.0
 
 
 def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
@@ -274,42 +285,24 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
     there converts to a d-fat model here, and a certificate keeps its
     separator while its radius is re-measured in this graph (one power
     hop is at most d hops, so the radius stays within d * ceil(32/eps)).
-
-    The core sees the weights divided by the heaviest one.  Balance and
-    sparsity only rescale with W, and uniform weights become exactly 1, so
-    at any scale from 1e-300 to 1e300 they give the unit-weight answer
-    (unit weights reach the core as they are).  `congestion_override` and
-    the reported `gamma` scale as W^2 and are in the caller's scale;
-    certificates are verified on `g`.
+    The core decides the weight scale (see `core_3fat`); certificates are
+    verified on `g`.
     """
     if fatness < 1:
         raise GraphError("fatness must be at least 1")
-    config = config or PipelineConfig()
-    override = config.congestion_override
-    core_host, top = _heaviest_weight_one(g)
-    if core_host is not g and override is not None:
-        config = replace(config, congestion_override=override / top / top)
-    if fatness > 3:
-        core_host = power(core_host, fatness)
-    res = core_3fat(core_host, pattern, config)
+    if fatness <= 3:
+        return core_3fat(g, pattern, config)
+    g_d = power(g, fatness)
+    res = core_3fat(g_d, pattern, config)
+    if isinstance(res, ModelFound):
+        model = power_model_to_base(g, g_d, pattern, res.model, fatness)
+        return ModelFound(model, res.branch, res.gamma)
     if isinstance(res, PipelineFailure):
         return res
-    gamma = res.gamma
-    if gamma is not None:
-        gamma = override if override is not None else gamma * top * top
-    if isinstance(res, ModelFound):
-        model = res.model
-        if fatness > 3:
-            model = power_model_to_base(g, core_host, pattern, model,
-                                        fatness)
-        return ModelFound(model, res.branch, gamma)
     cert = res.certificate
-    if fatness > 3:
-        radius = coverage_radius(g, cert.separator, cert.centers)
-        cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
-    elif core_host is g:
-        return res  # the core verified it on `g` itself
-    return _checked(g, cert, res.branch, gamma)
+    radius = coverage_radius(g, cert.separator, cert.centers)
+    cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
+    return _checked(g, cert, res.branch, res.gamma)
 
 
 # ---------------------------------------------------------------------------

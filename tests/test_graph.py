@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +15,21 @@ from coarsesep import (
     greedy_cover,
     induced_subgraph,
     make_separation,
+    max_ball2_clusters,
     power,
     quotient,
     set_distance,
+    sparse_partition,
     verify_separator,
 )
 from coarsesep.generators import (
     complete_graph,
     cycle_graph,
+    gnp_graph,
     grid_graph,
     path_graph,
 )
+from coarsesep.oracle import _distance_matrix
 
 
 def test_basic_construction():
@@ -300,3 +305,85 @@ def test_induced_subgraph_rejects_out_of_range_vertices():
         induced_subgraph(path_graph(3), [0, 3])
     with pytest.raises(GraphError):
         induced_subgraph(path_graph(3), [-1, 1])
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_traversal_helpers_reject_out_of_range_vertices(bad):
+    # a negative id used to wrap around to the end of the flag lists
+    g = path_graph(5)
+    calls = [lambda: ball(g, bad, 1),
+             lambda: set_distance(g, {bad}, {0}),
+             lambda: set_distance(g, {0}, {bad}),
+             lambda: connected_components(g, [bad, 3]),
+             lambda: greedy_cover(g, [bad], 1),
+             lambda: coverage_radius(g, [bad], [0])]
+    for call in calls:
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# Every layered search against the oracle's all-pairs distances
+
+
+@st.composite
+def _small_gnp_hosts(draw):
+    # sparse enough for isolated vertices and several components
+    n = draw(st.integers(1, 16))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.35]))
+    return gnp_graph(n, p, seed=draw(st.integers(0, 10**6)))
+
+
+def _reference_components(dist, vertices):
+    comps = []
+    for v in sorted(vertices):
+        if not any(v in c for c in comps):
+            comps.append([u for u in sorted(vertices) if dist[v][u] < math.inf])
+    return comps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_small_gnp_hosts(), st.data())
+def test_layered_searches_match_all_pairs_distances(g, data):
+    dist = _distance_matrix(g)
+    vertex = st.integers(0, g.n - 1)
+    some = st.sets(vertex, min_size=1, max_size=4)
+    for s in range(g.n):
+        assert bfs_distances(g, [s]) == dist[s]
+    xs, ys = data.draw(some), data.draw(some)
+    assert bfs_distances(g, xs) == [min(dist[x][v] for x in xs)
+                                    for v in range(g.n)]
+    assert set_distance(g, xs, ys) == min(dist[x][y] for x in xs for y in ys)
+    for r in range(4):
+        c = data.draw(vertex)
+        assert ball(g, c, r) == {v for v in range(g.n) if dist[c][v] <= r}
+    for r in range(1, 5):
+        want = [[v for v in range(g.n) if 1 <= dist[u][v] <= r]
+                for u in range(g.n)]
+        assert power(g, r).adj == want
+
+    assert connected_components(g) == _reference_components(dist, range(g.n))
+    within = data.draw(st.sets(vertex))
+    sub, ids = induced_subgraph(g, within)
+    local = _reference_components(_distance_matrix(sub), range(sub.n))
+    assert connected_components(g, within) == [[ids[x] for x in c]
+                                               for c in local]
+
+    centers = data.draw(st.lists(vertex, max_size=3))
+    want = max((min((dist[c][v] for c in centers), default=math.inf)
+                for v in within), default=0)
+    assert coverage_radius(g, within, centers) == want
+
+    part = sparse_partition(g, 1.0, random.Random(data.draw(vertex)))
+    cluster_of = part.cluster_of_map(g.n)
+    assert max_ball2_clusters(g, part) == max(
+        len({cluster_of[v] for v in range(g.n) if dist[u][v] <= 2})
+        for u in range(g.n))
+
+    # greedy_cover's contract: sorted centers from the input, the first
+    # input vertex among them, every input vertex within the radius
+    radius = data.draw(st.integers(0, 3))
+    cover = greedy_cover(g, within, radius)
+    assert cover == sorted(set(cover)) and set(cover) <= within
+    assert cover[:1] == sorted(within)[:1]
+    assert all(min(dist[c][v] for c in cover) <= radius for v in within)

@@ -187,6 +187,19 @@ def test_pipeline_gives_unit_answer_at_any_uniform_weight(scale):
             assert res.gamma == unit.gamma * scale * scale
 
 
+@pytest.mark.parametrize("scale", [1e-300, 3.0, 1e300])
+def test_core_gives_unit_answer_at_any_uniform_weight(scale):
+    # the core itself divides the weights by the heaviest one
+    g = grid_graph(20)
+    scaled = g.with_weights([scale] * g.n)
+    unit = core_3fat(g, K3)
+    res = core_3fat(scaled, K3)
+    assert res.branch == unit.branch == "peeling"
+    assert res.certificate == unit.certificate
+    assert_verified_certificate(scaled, res)
+    assert res.gamma == unit.gamma * scale * scale
+
+
 @pytest.mark.parametrize("scale", [1e-100, 3.0, 1e100])
 def test_congestion_override_is_in_the_callers_scale(scale):
     g = path_graph(1200)
