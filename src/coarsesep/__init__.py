@@ -1,4 +1,4 @@
-"""Balanced separators and fat pattern minors in unweighted graphs.
+"""Balanced separators and fat pattern minors in vertex-weighted graphs.
 
 The package decides, for a vertex-weighted host graph and a small pattern,
 between a balanced vertex separator covered by a few small-radius balls

@@ -22,7 +22,7 @@ from .fatminor import PatternGraph, verify_fat_model
 from .fileio import (FormatError, format_graph, read_graph, read_model,
                      read_pattern, read_separator_result, read_weights)
 from .flow import ConcurrentFlow, FlowCutError, flow_or_sparse_cut
-from .graph import GraphError, WeightedGraph, quotient, verify_separator
+from .graph import GraphError, WeightedGraph, verify_certificate
 from .oracle import (brute_force_fat_minor, exact_min_balanced_separator,
                      exact_sparsest_separation)
 from .partition import (close_cluster_pairs, max_ball2_clusters,
@@ -114,8 +114,7 @@ def _cmd_gen(args) -> int:
 def _cmd_partition(args) -> int:
     g = _load_graph(args)
     part = sparse_partition(g, args.eps, random.Random(args.seed))
-    part.validate(g)
-    q = quotient(g, part.clusters)
+    q = part.validate(g)
     close = close_cluster_pairs(q)
     stats = {
         "clusters": len(part.clusters),
@@ -199,8 +198,7 @@ def _cmd_verify_model(args) -> int:
 
 def _cmd_verify_separator(args) -> int:
     g = _load_graph(args)
-    res = read_separator_result(args.result)
-    report = verify_separator(g, res.separator, res.centers, res.radius)
+    report = verify_certificate(g, read_separator_result(args.result))
     _emit(args, {"ok": report.ok, "balanced": report.balanced,
                  "covered": report.covered,
                  "heaviest_component": report.heaviest_component,
@@ -264,8 +262,7 @@ def _cmd_bench(args) -> int:
         runtime = f"{elapsed:.3f}" if args.timings else ""
         if isinstance(res, SeparatorFound):
             cert = res.certificate
-            report = verify_separator(g, cert.separator, cert.centers,
-                                      cert.radius)
+            report = verify_certificate(g, cert)
             writer.writerow([g.n, "separator", len(cert.separator),
                              len(cert.centers), cert.radius, runtime,
                              report.ok])

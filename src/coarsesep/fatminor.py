@@ -202,6 +202,8 @@ class FatModel:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "FatModel":
+        if not isinstance(data, dict):
+            raise GraphError("malformed model data: not a JSON object")
         try:
             fatness = int(data["fatness"])
             vsets = {int(k): frozenset(map(int, vs))
@@ -210,7 +212,7 @@ class FatModel:
             for key, vs in data["edge_sets"].items():
                 a, b = key.split("-")
                 esets[(int(a), int(b))] = frozenset(map(int, vs))
-        except (KeyError, ValueError, AttributeError) as exc:
+        except (KeyError, ValueError, AttributeError, TypeError) as exc:
             raise GraphError(f"malformed model data: {exc}") from exc
         return cls(fatness, vsets, esets)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .fatminor import FatModel, PatternGraph
 from .graph import GraphError, SeparatorCertificate, WeightedGraph
@@ -157,29 +156,18 @@ def write_model(model: FatModel, path: str) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class SeparatorResultFile:
-    separator: tuple[int, ...]
-    centers: tuple[int, ...]
-    radius: int
-
-    def certificate(self) -> SeparatorCertificate:
-        return SeparatorCertificate(frozenset(self.separator),
-                                    self.centers, self.radius)
-
-
-def read_separator_result(path: str) -> SeparatorResultFile:
+def read_separator_result(path: str) -> SeparatorCertificate:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"result file is not valid JSON: {exc}") from exc
-    if data.get("result") != "separator":
+    if not isinstance(data, dict) or data.get("result") != "separator":
         raise FormatError("result file does not hold a separator result")
     try:
-        sep = tuple(int(v) for v in data["S"])
+        sep = frozenset(int(v) for v in data["S"])
         centers = tuple(int(v) for v in data["centers"])
         radius = int(data["radius"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed separator result: {exc}") from exc
-    return SeparatorResultFile(sep, centers, radius)
+    return SeparatorCertificate(sep, centers, radius)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import (GraphError, QuotientGraph, WeightedGraph, bfs_layers,
-                    connected_components, quotient)
+                    quotient)
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,18 @@ class ConnectedPartition:
                 out[v] = i
         return out
 
-    def validate(self, g: WeightedGraph) -> None:
-        seen = [False] * g.n
-        for i, cl in enumerate(self.clusters):
-            if not cl:
-                raise GraphError(f"cluster {i} is empty")
-            for v in cl:
-                if seen[v]:
-                    raise GraphError(f"vertex {v} in two clusters")
-                seen[v] = True
-            if len(connected_components(g, cl)) != 1:
-                raise GraphError(f"cluster {i} is not connected")
-            if self.centers[i] not in cl:
+    def validate(self, g: WeightedGraph) -> QuotientGraph:
+        """Check the partition of g and return its quotient.
+
+        The centers are checked here; `quotient` checks that the clusters
+        are nonempty, in range, disjoint, connected and cover V.
+        """
+        if len(self.centers) != len(self.clusters):
+            raise GraphError("the partition needs one center per cluster")
+        for i, (cl, c) in enumerate(zip(self.clusters, self.centers)):
+            if c not in cl:
                 raise GraphError(f"center of cluster {i} lies outside it")
-        if not all(seen):
-            raise GraphError("partition does not cover every vertex")
+        return quotient(g, self.clusters)
 
 
 def _cluster_metrics(g: WeightedGraph, cluster: tuple[int, ...]) -> tuple[int, int]:
@@ -277,8 +274,6 @@ def star_partition(g: WeightedGraph) -> tuple[ConnectedPartition, QuotientGraph]
     joins an adjacent dominator's star.
     """
     n = g.n
-    if n == 0:
-        return ConnectedPartition((), (), 0), quotient(g, [])
     k = peel_threshold(n)
     deg = [g.degree(v) for v in range(n)]
     peeled = [False] * n
@@ -328,8 +323,4 @@ def star_partition(g: WeightedGraph) -> tuple[ConnectedPartition, QuotientGraph]
             strong = max(strong, d)
     part = ConnectedPartition(tuple(tuple(cl) for cl in clusters),
                               tuple(centers), strong)
-    # quotient checks the partition itself; only the centers are left
-    for i, (cl, c) in enumerate(zip(part.clusters, part.centers)):
-        if c not in cl:
-            raise GraphError(f"center of cluster {i} lies outside it")
-    return part, quotient(g, part.clusters)
+    return part, part.validate(g)

@@ -118,8 +118,9 @@ def _checked(g: WeightedGraph, cert: SeparatorCertificate,
              branch: str, gamma: float | None) -> SeparatorFound:
     report = verify_separator(g, cert.separator, cert.centers, cert.radius)
     if not report.ok:
+        # not always internal: a custom quotient oracle's choice ends here
         raise GraphError(
-            f"internal error: {branch} certificate failed verification "
+            f"{branch} certificate failed verification "
             f"(balanced={report.balanced}, heaviest="
             f"{report.heaviest_component}, uncovered={report.uncovered[:5]})")
     return SeparatorFound(cert, branch, gamma)
@@ -334,7 +335,9 @@ def induced_minor_separator(g: WeightedGraph,
     quotient, `balanced_separator_by_sweeps`, with no congestion budget,
     routing or LP).  The quotient carries the weights divided by the
     heaviest one, so uniform weights at any scale give the unit-weight
-    answer; the certificate is verified on `g`.
+    answer.  The oracle's ids are checked to be in range; its balance is
+    checked once, when the certificate is verified on `g`, since the
+    components of G - S are unions of whole stars.
     """
     if g.n == 0:
         return SeparatorCertificate(frozenset(), (), 0)
@@ -344,9 +347,6 @@ def induced_minor_separator(g: WeightedGraph,
     for i in chosen:
         if not (0 <= i < q.graph.n):
             raise GraphError(f"quotient oracle returned bad cluster id {i}")
-    report = verify_separator(q.graph, chosen, chosen, 0)
-    if not report.balanced:
-        raise GraphError("quotient oracle returned an unbalanced separator")
     sep: set[int] = set()
     centers = []
     for i in chosen:

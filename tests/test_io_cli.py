@@ -106,8 +106,8 @@ def test_separator_result_file(tmp_path):
     path.write_text(json.dumps({"result": "separator", "S": [3, 1],
                                 "centers": [1], "radius": 2}))
     res = read_separator_result(str(path))
-    assert res.separator == (3, 1)
-    assert res.certificate().radius == 2
+    assert res.separator == frozenset({1, 3})
+    assert res.radius == 2
     path.write_text(json.dumps({"result": "model"}))
     with pytest.raises(FormatError, match="does not hold a separator"):
         read_separator_result(str(path))
@@ -327,6 +327,32 @@ def test_cli_bad_input_is_exit_two(tmp_path, capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "partition", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify-separator", "[1, 2]"),
+    ("verify-separator", "null"),
+    ("verify-model", "[1, 2]"),
+    ("verify-model", "null"),
+    ("verify-model",
+     '{"fatness": 1, "vertex_sets": {"0": 5}, "edge_sets": {}}'),
+])
+def test_cli_malformed_json_is_exit_two(tmp_path, capsys, command, text):
+    gpath = tmp_path / "p3.txt"
+    ppath = tmp_path / "k2.txt"
+    jpath = tmp_path / "in.json"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(gpath))
+    ppath.write_text("2 1\n0 1\n")
+    jpath.write_text(text)
+    if command == "verify-separator":
+        extra = ["--result", str(jpath)]
+    else:
+        extra = ["--pattern", str(ppath), "--model", str(jpath),
+                 "--fatness", "1"]
+    code, out, err = run_cli(capsys, command, str(gpath), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_cli_weights_option(tmp_path, capsys):

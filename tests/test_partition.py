@@ -30,7 +30,7 @@ from coarsesep.generators import (
     path_graph,
     random_regular_graph,
 )
-from coarsesep.partition import _cluster_metrics
+from coarsesep.partition import ConnectedPartition, _cluster_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,24 @@ def test_sparse_partition_singletons_and_empty():
     part = sparse_partition(WeightedGraph(3, []), 1.0, random.Random(0))
     part.validate(WeightedGraph(3, []))
     assert len(part.clusters) == 3
+
+
+@pytest.mark.parametrize("clusters, centers", [
+    (((0, 3),), (0,)),  # vertex 3 is out of range
+    (((0, 1), (2,)), (2, 2)),  # center 2 lies outside cluster 0
+    (((0, 1), (2,)), (0,)),  # cluster 1 has no center
+    (((0, 2), (1,)), (0, 1)),  # cluster 0 is not connected
+])
+def test_validate_rejects_a_bad_partition(clusters, centers):
+    with pytest.raises(GraphError):
+        ConnectedPartition(clusters, centers, 0).validate(path_graph(3))
+
+
+def test_validate_returns_the_quotient():
+    q = ConnectedPartition(((0, 1), (2,)), (0, 2), 1).validate(path_graph(3))
+    assert q.clusters == ((0, 1), (2,))
+    assert q.cluster_of == (0, 0, 1)
+    assert [q.graph.adj[i] for i in range(2)] == [[1], [0]]
 
 
 def _reference_partition(g, eps, rng):

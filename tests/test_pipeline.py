@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from coarsesep import (
     GraphError,
+    HeavyFlowResult,
     ModelFound,
     PatternGraph,
     PipelineConfig,
     PipelineFailure,
     SeparatorFound,
     WeightedGraph,
+    balanced_separator_or_flow,
     coarse_separator_or_model,
     core_3fat,
     induced_minor_separator,
@@ -29,6 +31,7 @@ from coarsesep.generators import (
     path_graph,
     random_regular_graph,
 )
+from coarsesep.flow import balanced_separator_by_sweeps
 from coarsesep.pipeline import _default_quotient_oracle
 
 K2 = PatternGraph(2, [(0, 1)])
@@ -323,8 +326,40 @@ def _weighted_hosts(draw):
     return WeightedGraph(n, sorted(edges), [x * scale for x in weights])
 
 
+def _assert_peel_structure(g, res):
+    """The pieces and the separator partition V; no edge joins two pieces.
+
+    A heavy flow's vertices are disjoint from the separator peeled so far.
+    """
+    if isinstance(res, HeavyFlowResult):
+        assert not res.separator & set(res.vertices)
+        assert res.separator | set(res.vertices) <= set(range(g.n))
+        return
+    piece_of = {}
+    for i, piece in enumerate(res.pieces):
+        for v in piece:
+            assert v not in piece_of and v not in res.separator
+            piece_of[v] = i
+    assert piece_of.keys() | res.separator == set(range(g.n))
+    for u, v in g.edges():
+        if u in piece_of and v in piece_of:
+            assert piece_of[u] == piece_of[v]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_weighted_hosts())
 def test_default_quotient_oracle_is_balanced(q):
     chosen = sorted(set(_default_quotient_oracle(q)))
     assert verify_separator(q, chosen, chosen, 0).balanced
+    if q.total_weight == 0:
+        return
+    # the peels, on the oracle's power-of-two rescale of the weights
+    shift = 1 - math.frexp(max(q.weights))[1]
+    g = q.with_weights([math.ldexp(w, shift) for w in q.weights])
+    if sum(1 for w in g.weights if w > 0) >= 2:
+        res = balanced_separator_by_sweeps(g)
+        assert sorted(res.separator) == chosen
+        _assert_peel_structure(g, res)
+    for c in (0.01, 0.3, 2.0):
+        res = balanced_separator_or_flow(g, c * g.total_weight ** 2)
+        _assert_peel_structure(g, res)
