@@ -20,7 +20,8 @@ import time
 from . import generators
 from .fatminor import PatternGraph, verify_fat_model
 from .fileio import (FormatError, format_graph, read_graph, read_model,
-                     read_pattern, read_separator_result, read_weights)
+                     read_pattern, read_separator_result, read_weights,
+                     result_jsonable, separator_jsonable)
 from .flow import ConcurrentFlow, FlowCutError, flow_or_sparse_cut
 from .graph import GraphError, WeightedGraph, verify_certificate
 from .oracle import (brute_force_fat_minor, exact_min_balanced_separator,
@@ -47,34 +48,9 @@ def _load_graph(args) -> WeightedGraph:
     return g
 
 
-def _separator_json(cert) -> dict:
-    return {
-        "result": "separator",
-        "S": sorted(cert.separator),
-        "centers": sorted(cert.centers),
-        "radius": cert.radius,
-    }
-
-
 def _separator_sentence(cert) -> str:
     return (f"separator of {len(cert.separator)} vertices covered by "
             f"{len(cert.centers)} balls of radius {cert.radius}")
-
-
-def _result_json(res) -> dict:
-    if isinstance(res, SeparatorFound):
-        return _separator_json(res.certificate)
-    if isinstance(res, ModelFound):
-        return {"result": "model", "model": res.model.to_jsonable()}
-    assert isinstance(res, PipelineFailure)
-    return {
-        "result": "failure",
-        "stage": res.stage,
-        "trials": res.trials,
-        "collision_failures": res.collision_failures,
-        "spread_failures": res.spread_failures,
-        "lift_failures": res.lift_failures,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +135,7 @@ def _cmd_separate(args) -> int:
     config = PipelineConfig(eps=args.eps, trials=args.trials, seed=args.seed,
                             congestion_override=args.gamma_override)
     res = coarse_separator_or_model(g, pattern, args.fatness, config)
-    obj = _result_json(res)
+    obj = result_jsonable(res)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
@@ -181,7 +157,7 @@ def _cmd_separate(args) -> int:
 def _cmd_induced_sep(args) -> int:
     g = _load_graph(args)
     cert = induced_minor_separator(g)
-    _emit(args, _separator_json(cert), _separator_sentence(cert))
+    _emit(args, separator_jsonable(cert), _separator_sentence(cert))
     return 0
 
 
@@ -231,8 +207,6 @@ def _cmd_oracle(args) -> int:
               f"sparsest separation has sparsity {sep.sparsity:.6g}")
         return 0
     s = exact_min_balanced_separator(g)
-    if s is None:  # pragma: no cover - removing everything always balances
-        return 2
     _emit(args, {"separator": sorted(s)},
           f"minimum balanced separator has {len(s)} vertices")
     return 0

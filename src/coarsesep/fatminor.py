@@ -329,8 +329,7 @@ def verify_crude_model(g: WeightedGraph, sub: SubdividedPattern,
     return ModelReport(tuple(bad))
 
 
-def crude_to_fat(g: WeightedGraph, sub: SubdividedPattern,
-                 crude: CrudeFatModel, *, check: bool = True) -> FatModel:
+def crude_to_fat(sub: SubdividedPattern, crude: CrudeFatModel) -> FatModel:
     """Merge subdivision paths into branch sets of the original pattern.
 
     A pattern vertex receives the union of the paths of its incident
@@ -338,6 +337,7 @@ def crude_to_fat(g: WeightedGraph, sub: SubdividedPattern,
     subdivision edge.  Any pair the merged model must keep far apart comes
     from a subdivision edge pair with four distinct endpoints, so a valid
     crude model always converts to a valid model at the same fatness.
+    The result is not verified here; `lift_model` verifies what it lifts.
     """
     pattern = sub.pattern
     vertex_sets: dict[int, frozenset[int]] = {}
@@ -350,10 +350,7 @@ def crude_to_fat(g: WeightedGraph, sub: SubdividedPattern,
         vertex_sets[u] = frozenset(acc)
     edge_sets = {e: frozenset(crude.edge_paths[sub.middle_edge(e)])
                  for e in pattern.edges}
-    model = FatModel(crude.fatness, vertex_sets, edge_sets)
-    if check:
-        ensure_fat_model(g, pattern, model, crude.fatness)
-    return model
+    return FatModel(crude.fatness, vertex_sets, edge_sets)
 
 
 def lift_model(g: WeightedGraph, clusters: Sequence[Sequence[int]],
@@ -469,8 +466,6 @@ def _bisect(cum: list[float], x: float) -> int:
 
 def _bfs_path(g: WeightedGraph, src: int, dst: int) -> list[int]:
     """Deterministic shortest path: BFS with sorted neighbor order."""
-    if src == dst:
-        return [src]
     parent = {src: -1}
     q = deque([src])
     while q:
@@ -490,6 +485,7 @@ def _bfs_path(g: WeightedGraph, src: int, dst: int) -> list[int]:
 
 def _power_spanning_tree(power: WeightedGraph,
                          branch: frozenset[int]) -> list[tuple[int, int]]:
+    # the caller has checked that branch is nonempty and connected in power
     root = min(branch)
     seen = {root}
     out: list[tuple[int, int]] = []
@@ -501,8 +497,6 @@ def _power_spanning_tree(power: WeightedGraph,
                 seen.add(v)
                 out.append((u, v))
                 q.append(v)
-    if len(seen) != len(branch):
-        raise ModelError("branch set disconnected in the power graph")
     return out
 
 

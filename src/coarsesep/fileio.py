@@ -4,7 +4,7 @@ Graph files are plain text: a header line ``n m`` followed by exactly m
 edge lines ``u v`` (0-based endpoints).  Blank lines are ignored; anything
 else is rejected with the offending line number.  Patterns reuse the graph
 format.  Weight files carry one ``vertex weight`` line per vertex.  Models
-and separator results are JSON.
+and results are JSON; `read_model` also reads a `separate` model result.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 
 from .fatminor import FatModel, PatternGraph
 from .graph import GraphError, SeparatorCertificate, WeightedGraph
+from .pipeline import ModelFound, PipelineFailure, PipelineResult
 
 
 class FormatError(GraphError):
@@ -147,6 +148,8 @@ def read_model(path: str) -> FatModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"model file is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and data.get("result") == "model":
+        data = data.get("model")  # a result file written by `separate`
     return FatModel.from_jsonable(data)
 
 
@@ -154,6 +157,31 @@ def write_model(model: FatModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_jsonable(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def separator_jsonable(cert: SeparatorCertificate) -> dict:
+    return {
+        "result": "separator",
+        "S": sorted(cert.separator),
+        "centers": sorted(cert.centers),
+        "radius": cert.radius,
+    }
+
+
+def result_jsonable(res: PipelineResult) -> dict:
+    """The JSON result of a pipeline run, as `separate` prints and writes it."""
+    if isinstance(res, ModelFound):
+        return {"result": "model", "model": res.model.to_jsonable()}
+    if isinstance(res, PipelineFailure):
+        return {
+            "result": "failure",
+            "stage": res.stage,
+            "trials": res.trials,
+            "collision_failures": res.collision_failures,
+            "spread_failures": res.spread_failures,
+            "lift_failures": res.lift_failures,
+        }
+    return separator_jsonable(res.certificate)
 
 
 def read_separator_result(path: str) -> SeparatorCertificate:

@@ -48,7 +48,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .graph import (GraphError, Separation, WeightedGraph,
@@ -105,10 +105,6 @@ class ConcurrentFlow:
         self.trees = trees
         self._congestion: list[float] | None = None
 
-    @classmethod
-    def empty(cls, host: WeightedGraph) -> "ConcurrentFlow":
-        return cls(host, {})
-
     def routed(self) -> Iterator[tuple[int, int, tuple[int, ...], float]]:
         """Every path as (source, target, vertices, amount), in fixed order.
 
@@ -157,9 +153,6 @@ class ConcurrentFlow:
                     cong[v] += amount
             self._congestion = cong
         return self._congestion
-
-    def congestion(self, v: int) -> float:
-        return self.congestion_vector()[v]
 
     def max_congestion(self) -> float:
         return max(self.congestion_vector(), default=0.0)
@@ -278,25 +271,18 @@ def _attempt_tree_flow(g: WeightedGraph, gamma: float,
                        positives: list[int]) -> ConcurrentFlow | None:
     """Try to route all demands at congestion <= gamma on source trees."""
     pw = g.weight_of(positives)
-    best: dict[int, tuple[list[int], list[int]]] | None = None
-    best_cong = math.inf
     cost: list[float] | None = None
     for _ in range(_TREE_ROUNDS):
         trees = {s: _tree_from(g, s, cost) for s in positives}
         cong = _tree_congestion(g, positives, trees, pw)
         top = max(cong)
-        if top < best_cong:
-            best_cong = top
-            best = trees
         if top <= gamma * (1 + _REL_TOL):
-            break
+            return ConcurrentFlow(
+                g, {}, {s: parent for s, (parent, _) in trees.items()})
         # reroute against the congested vertices next round
         scale = max(top, 1e-300)
         cost = [1.0 + (g.n * c) / scale for c in cong]
-    if best is None or best_cong > gamma * (1 + _REL_TOL):
-        return None
-    return ConcurrentFlow(g, {},
-                          {s: parent for s, (parent, _) in best.items()})
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +701,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     w = g.weights
     positives = [v for v in range(g.n) if w[v] > 0]
     if len(positives) < 2:
-        return ConcurrentFlow.empty(g)
+        return ConcurrentFlow(g, {})
     bound = CUT_CONSTANT * math.log(max(g.n, 2)) / gamma
 
     split = _component_split(g)
@@ -793,7 +779,7 @@ class HeavyFlowResult:
     vertices: tuple[int, ...]
     flow: ConcurrentFlow
     separator: frozenset[int]
-    steps: tuple[Separation, ...] = field(default=())
+    steps: tuple[Separation, ...]
 
 
 def _peel(g: WeightedGraph,

@@ -340,9 +340,7 @@ def verify_separator(g: WeightedGraph, separator: Iterable[int],
                      centers: Iterable[int], radius: int) -> SeparatorReport:
     """Check balance (components of G-S weigh <= W/2) and ball coverage."""
     s = set(separator)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise GraphError(f"separator vertex {v} out of range")
+    _check_ids(g, s)
     half = g.total_weight / 2.0
     heaviest = 0.0
     balanced = True

@@ -49,23 +49,30 @@ def _adjacency_masks(g: WeightedGraph) -> list[int]:
     return masks
 
 
+def _reach(adj: list[int], seed: int, mask: int) -> int:
+    """Bitmask grown from `seed` along `adj`, one BFS layer at a time.
+
+    Each layer adds the neighbours inside `mask` of the vertices reached.
+    """
+    reach = seed
+    while True:
+        grow = reach
+        m = reach
+        while m:
+            low = m & -m
+            grow |= adj[low.bit_length() - 1] & mask
+            m ^= low
+        if grow == reach:
+            return reach
+        reach = grow
+
+
 def _connected_subsets(g: WeightedGraph) -> list[int]:
     """All nonempty connected vertex subsets as bitmasks, small first."""
     adj = _adjacency_masks(g)
     out = []
     for mask in range(1, 1 << g.n):
-        reach = mask & -mask
-        while True:
-            grow = reach
-            m = reach
-            while m:
-                low = m & -m
-                grow |= adj[low.bit_length() - 1] & mask
-                m ^= low
-            if grow == reach:
-                break
-            reach = grow
-        if reach == mask:
+        if _reach(adj, mask & -mask, mask) == mask:
             out.append(mask)
     out.sort(key=lambda s: (bin(s).count("1"), s))
     return out
@@ -230,17 +237,7 @@ def exact_sparsest_separation(g: WeightedGraph) -> Separation | None:
         comps = []
         rest = mask
         while rest:
-            reach = rest & -rest
-            while True:
-                grow = reach
-                m = reach
-                while m:
-                    low = m & -m
-                    grow |= adj[low.bit_length() - 1] & mask
-                    m ^= low
-                if grow == reach:
-                    break
-                reach = grow
+            reach = _reach(adj, rest & -rest, mask)
             comps.append(reach)
             rest &= ~reach
         return comps
@@ -272,11 +269,12 @@ def exact_sparsest_separation(g: WeightedGraph) -> Separation | None:
                            _mask_vertices(best[2]))
 
 
-def exact_min_balanced_separator(g: WeightedGraph) -> frozenset[int] | None:
+def exact_min_balanced_separator(g: WeightedGraph) -> frozenset[int]:
     """Smallest vertex set whose removal leaves components of weight <= W/2.
 
     Ties go to the lexicographically first set of the smallest size.
-    Capped at 16 vertices.
+    Capped at 16 vertices.  Removing all n vertices balances, so the
+    search always returns a set.
     """
     if g.n > _MAX_EXACT_N:
         raise GraphError(f"exact search capped at {_MAX_EXACT_N} vertices")
@@ -290,17 +288,7 @@ def exact_min_balanced_separator(g: WeightedGraph) -> frozenset[int] | None:
             s_mask |= 1 << v
         rest = ((1 << g.n) - 1) & ~s_mask
         while rest:
-            reach = rest & -rest
-            while True:
-                grow = reach
-                m = reach
-                while m:
-                    low = m & -m
-                    grow |= adj[low.bit_length() - 1] & rest
-                    m ^= low
-                if grow == reach:
-                    break
-                reach = grow
+            reach = _reach(adj, rest & -rest, rest)
             if math.fsum(weights[v] for v in _mask_vertices(reach)) > half:
                 return False
             rest &= ~reach
@@ -310,4 +298,3 @@ def exact_min_balanced_separator(g: WeightedGraph) -> frozenset[int] | None:
         for s in combinations(range(g.n), size):
             if balanced(s):
                 return frozenset(s)
-    return None  # pragma: no cover - size n always balances

@@ -101,7 +101,7 @@ def _cluster_metrics(g: WeightedGraph, cluster: tuple[int, ...]) -> tuple[int, i
 
 
 def sparse_partition(g: WeightedGraph, eps: float,
-                     rng: random.Random | None = None) -> ConnectedPartition:
+                     rng: random.Random) -> ConnectedPartition:
     """Connected partition with strong diameter at most ceil(32/eps).
 
     Every vertex draws an Exp(eps/8) head start capped at 16/eps and the
@@ -115,8 +115,6 @@ def sparse_partition(g: WeightedGraph, eps: float,
     """
     if not (0 < eps <= 1):
         raise GraphError("eps must lie in (0, 1]")
-    if rng is None:
-        rng = random.Random(0)
     cap = 16.0 / eps
     n = g.n
     if n == 0:
@@ -160,8 +158,6 @@ def sparse_partition(g: WeightedGraph, eps: float,
 
 def max_ball2_clusters(g: WeightedGraph, part: ConnectedPartition) -> int:
     """Measured sparsity: max over u of #clusters meeting the radius-2 ball."""
-    if g.n == 0:
-        return 0
     cluster_of = part.cluster_of_map(g.n)
     # one flag list for every search, cleared after each
     seen = [False] * g.n
@@ -296,12 +292,6 @@ def star_partition(g: WeightedGraph) -> tuple[ConnectedPartition, QuotientGraph]
     centers: list[int] = list(order)
     if residual:
         doms = greedy_dominating_set(g, residual)
-        n_res = len(residual)
-        limit = n_res * (1.0 + math.log(k + 2)) / (k + 2) + 1.0
-        if len(doms) > limit:  # pragma: no cover - theory guard
-            raise GraphError(
-                f"greedy dominating set of size {len(doms)} exceeds the "
-                f"bound {limit:.1f} on {n_res} residual vertices")
         dom_set = set(doms)
         star_of: dict[int, list[int]] = {d: [d] for d in doms}
         inside = set(residual)

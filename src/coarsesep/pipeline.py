@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
-                       SubdividedPattern, crude_to_fat, ensure_fat_model,
-                       ensure_no_isolated, lift_model, power_model_to_base,
-                       restrict_model, sample_crude_model, two_subdivision)
+                       SubdividedPattern, crude_to_fat, ensure_no_isolated,
+                       lift_model, power_model_to_base, restrict_model,
+                       sample_crude_model, two_subdivision)
 from .flow import (BalancedSeparatorResult, HeavyFlowResult,
                    balanced_separator_by_sweeps, balanced_separator_or_flow)
 from .graph import (GraphError, QuotientGraph, SeparatorCertificate,
@@ -101,8 +101,6 @@ def _certificate_from_clusters(g: WeightedGraph, part: ConnectedPartition,
     sep: set[int] = set()
     for i in ids:
         sep.update(part.clusters[i])
-    if not sep:
-        return SeparatorCertificate(frozenset(), (), 0)
     own = tuple(sorted({part.centers[i] for i in ids}))
     r_own = coverage_radius(g, sep, own)
     greedy = tuple(greedy_cover(g, sep, _CENTER_SPACING))
@@ -130,15 +128,6 @@ def _checked(g: WeightedGraph, cert: SeparatorCertificate,
 # Randomized rounding of a heavy flow
 
 
-def _translate_model(model: FatModel, ids: tuple[int, ...]) -> FatModel:
-    return FatModel(
-        model.fatness,
-        {u: frozenset(ids[x] for x in s)
-         for u, s in model.vertex_sets.items()},
-        {e: frozenset(ids[x] for x in s)
-         for e, s in model.edge_sets.items()})
-
-
 def _spread_ok(sub: SubdividedPattern, crude: CrudeFatModel,
                ids: tuple[int, ...], close: ClusterClosePairs) -> bool:
     """No two paths of separated subdivision edges touch close clusters."""
@@ -162,6 +151,8 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
     collisions = 0
     spread = 0
     lifts = 0
+    # the clusters under the flow host's local ids, so lifting relabels once
+    clusters = [q.clusters[v] for v in heavy.vertices]
     for _ in range(config.trials):
         crude = sample_crude_model(sub, heavy.flow, 3, rng,
                                    population=population)
@@ -172,10 +163,9 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
         if not _spread_ok(sub, crude, heavy.vertices, close):
             spread += 1
             continue
-        local = crude_to_fat(heavy.flow.host, sub, crude, check=False)
-        quotient_model = _translate_model(local, heavy.vertices)
+        local = crude_to_fat(sub, crude)
         try:
-            lifted = lift_model(g, q.clusters, aug, quotient_model, 3)
+            lifted = lift_model(g, clusters, aug, local, 3)
         except LiftError:
             lifts += 1
             continue

@@ -248,7 +248,7 @@ def test_crude_models_always_convert_to_fat_models():
     for pattern, d, g in jobs:
         sub = two_subdivision(pattern)
         crude = _sample_valid_crude(g, sub, d, rng)
-        fat = crude_to_fat(g, sub, crude, check=False)
+        fat = crude_to_fat(sub, crude)
         report = verify_fat_model(g, pattern, fat, d)
         assert report.ok, report.violations
 

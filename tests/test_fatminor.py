@@ -197,7 +197,7 @@ def test_crude_to_fat_merges_paths():
         2,
         {e1[0]: 0, e1[1]: 3, e2[1]: 6, e3[1]: 9},
         {e1: (0, 1, 2, 3), e2: (3, 4, 5, 6), e3: (6, 7, 8, 9)})
-    fat = crude_to_fat(g, sub, crude)
+    fat = crude_to_fat(sub, crude)
     assert fat.vertex_sets[0] == frozenset({0, 1, 2, 3})
     assert fat.vertex_sets[1] == frozenset({6, 7, 8, 9})
     assert fat.edge_sets[(0, 1)] == frozenset({3, 4, 5, 6})
@@ -212,9 +212,7 @@ def test_crude_to_fat_check_flag():
         5,  # claims more room than the path offers
         {e1[0]: 0, e1[1]: 3, e2[1]: 6, e3[1]: 9},
         {e1: (0, 1, 2, 3), e2: (3, 4, 5, 6), e3: (6, 7, 8, 9)})
-    with pytest.raises(ModelError):
-        crude_to_fat(g, sub, crude)
-    model = crude_to_fat(g, sub, crude, check=False)
+    model = crude_to_fat(sub, crude)
     assert not verify_fat_model(g, K2, model, 5).ok
 
 

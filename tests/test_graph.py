@@ -150,6 +150,17 @@ def test_verify_separator_needs_centers_for_nonempty():
     assert report.balanced and report.covered
 
 
+def test_verify_separator_names_the_same_bad_vertex_for_any_input_order():
+    g = path_graph(5)
+    bad = [190, 21, 155, 61, 133, 177]
+    messages = set()
+    for sep in (bad, tuple(bad), frozenset(bad), sorted(bad)):
+        with pytest.raises(GraphError) as exc:
+            verify_separator(g, sep, [], 0)
+        messages.add(str(exc.value))
+    assert messages == {"vertex 190 out of range for n=5"}
+
+
 def test_greedy_cover_radius_contract():
     g = grid_graph(7)
     target = set(range(g.n))

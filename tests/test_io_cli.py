@@ -224,6 +224,40 @@ def test_cli_separate_verify_round_trip(tmp_path, capsys):
     assert "balanced=True" in out
 
 
+def _path_k2_rounding_args(tmp_path):
+    # the smallest path on which the override reaches rounding at d = 3
+    gpath = tmp_path / "p1200.txt"
+    ppath = tmp_path / "k2.txt"
+    write_graph(path_graph(1200), str(gpath))
+    ppath.write_text("2 1\n0 1\n")
+    return [str(gpath), "--pattern", str(ppath), "--fatness", "3",
+            "--eps", "1", "--gamma-override", "1e15"]
+
+
+def test_cli_verify_model_reads_a_separate_model_result(tmp_path, capsys):
+    args = _path_k2_rounding_args(tmp_path)
+    rpath = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "separate", *args, "--out", str(rpath),
+                         "--quiet")
+    assert code == 0
+    assert json.loads(rpath.read_text())["result"] == "model"
+    code, out, err = run_cli(capsys, "verify-model", *args[:3],
+                             "--model", str(rpath), "--fatness", "3")
+    assert (code, out, err) == (0, "model is valid at fatness 3\n", "")
+
+
+def test_cli_separate_failure_is_exit_two(tmp_path, capsys):
+    args = _path_k2_rounding_args(tmp_path) + ["--trials", "0"]
+    code, out, err = run_cli(capsys, "separate", *args)
+    assert code == 2 and err == ""
+    assert out == "failure after 0 trials (collisions 0, spread 0, lifts 0)\n"
+    code, out, _ = run_cli(capsys, "separate", *args, "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "result": "failure", "stage": "rounding", "trials": 0,
+        "collision_failures": 0, "spread_failures": 0, "lift_failures": 0}
+
+
 def test_cli_separate_json_schema(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     ppath = tmp_path / "k2.txt"
@@ -279,6 +313,12 @@ def test_cli_oracle_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "sparsest", str(gpath), "--json")
     assert code == 0
     assert json.loads(out)["sparsity"] == 0.25
+    code, out, _ = run_cli(capsys, "oracle", "balanced", str(gpath))
+    assert code == 0
+    assert out == "minimum balanced separator has 1 vertices\n"
+    code, out, _ = run_cli(capsys, "oracle", "balanced", str(gpath), "--json")
+    assert code == 0
+    assert json.loads(out) == {"separator": [1]}
 
 
 def test_cli_induced_sep(tmp_path, capsys):
@@ -302,6 +342,18 @@ def test_cli_bench_deterministic_without_timings(tmp_path, capsys):
     assert len(lines) == 3
     for row in lines[1:]:
         assert row.split(",")[5] == ""  # runtime left blank
+
+
+def test_cli_bench_out_writes_the_csv(tmp_path, capsys):
+    args = ["bench", "--family", "grid", "--sizes", "6,8"]
+    _, table, _ = run_cli(capsys, *args)
+    path = tmp_path / "bench.csv"
+    code, out, _ = run_cli(capsys, *args, "--out", str(path))
+    assert code == 0
+    assert out == f"wrote 2 rows to {path}\n"
+    assert path.read_bytes() == table.encode()
+    code, out, _ = run_cli(capsys, *args, "--out", str(path), "--quiet")
+    assert code == 0 and out == ""
 
 
 def test_cli_bench_timings_fill_runtime(capsys):

@@ -206,6 +206,8 @@ def test_max_ball2_clusters_is_measured_not_assumed():
     k = max_ball2_clusters(g, part)
     # a radius-2 ball holds at most 13 vertices, so 13 bounds the measure
     assert 1 <= k <= 13
+    assert max_ball2_clusters(WeightedGraph(0, []),
+                              ConnectedPartition((), (), 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,26 @@ def test_greedy_dominating_set_covers():
         covered.update(g.adj[d])
     assert covered == set(range(12))
     assert len(doms) <= 4
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 40), st.floats(0.02, 0.9), st.integers(0, 10**6),
+       st.data())
+def test_greedy_dominating_set_meets_the_greedy_bound(n, p, seed, data):
+    # Every closed neighbourhood inside `vs` has at least delta + 1
+    # vertices, so each pick covers at least a (delta + 1) / |vs| share of
+    # what is uncovered; that counts to the bound below.  Its instance
+    # with delta > k is the dominator count `star_partition` relies on.
+    g = gnp_graph(n, p, seed=seed)
+    vs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    inside = set(vs)
+    delta = min(sum(1 for u in g.adj[v] if u in inside) for v in vs)
+    doms = greedy_dominating_set(g, vs)
+    assert set(doms) <= inside
+    covered = set(doms).union(*(inside.intersection(g.adj[d]) for d in doms))
+    assert covered == inside
+    bound = len(vs) * (1 + math.log(delta + 1)) / (delta + 1) + 1
+    assert len(doms) <= bound
 
 
 def test_star_partition_clusters_are_stars():

@@ -12,6 +12,7 @@ from coarsesep import (
     PatternGraph,
     PipelineConfig,
     PipelineFailure,
+    SeparatorCertificate,
     SeparatorFound,
     WeightedGraph,
     balanced_separator_or_flow,
@@ -128,8 +129,32 @@ def test_empty_and_weightless_hosts():
     assert res.certificate.separator == frozenset()
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_disconnected_light_components_need_no_separator(d):
+    # each triangle weighs 3 of 9, so the empty separator is balanced
+    g = WeightedGraph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                          (6, 7), (7, 8), (6, 8)])
+    res = coarse_separator_or_model(g, K2, d, PipelineConfig())
+    assert isinstance(res, SeparatorFound)
+    assert res.branch == "peeling"
+    assert res.certificate == SeparatorCertificate(frozenset(), (), 0)
+
+
 # ---------------------------------------------------------------------------
 # The flow side, reached through the congestion override
+
+
+def test_power_reduction_turns_a_rounded_model_into_a_base_model():
+    g = path_graph(3000)
+    cfg = PipelineConfig(eps=0.5, congestion_override=1e15, seed=0)
+    res = coarse_separator_or_model(g, K2, 5, cfg)
+    assert isinstance(res, ModelFound)
+    assert res.branch == "rounding"
+    assert res.model.fatness == 5
+    assert verify_fat_model(g, K2, res.model, 5).ok
+    cfg.trials = 0
+    res = coarse_separator_or_model(g, K2, 5, cfg)
+    assert res == PipelineFailure("rounding", 0, 0, 0, 0)
 
 
 def test_override_rounds_flow_into_model():
