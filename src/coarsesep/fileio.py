@@ -148,8 +148,11 @@ def read_model(path: str) -> FatModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"model file is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and data.get("result") == "model":
-        data = data.get("model")  # a result file written by `separate`
+    if isinstance(data, dict) and "result" in data:
+        # a result file written by `separate`
+        if data["result"] != "model":
+            raise FormatError("result file does not hold a model result")
+        data = data.get("model")
     return FatModel.from_jsonable(data)
 
 

@@ -14,7 +14,9 @@ LP dual lengths, spectral, weight orders).  A call tries, in order:
 
 1. the window: below the endpoint bound max_v 2 w(v) (W - w(v)) no flow
    exists and only the final sweep runs; at or above W^2 / 2 plus that
-   bound no sweep cut can prove a flow impossible, so none is tried;
+   bound no sweep cut can prove a flow impossible, so none is tried; and
+   at or above the flow ceiling W^2 every routing fits, so the plain BFS
+   trees are returned without computing their congestion;
 2. inside the window, a sweep whose best prefix cut may certify that every
    flow has congestion above gamma (weak flow-cut duality, one vertex cut);
 3. unless certified, congestion-aware shortest-path-tree routing;
@@ -31,7 +33,8 @@ satisfies its side of the dichotomy.
 
 A tree-routed flow is stored as one parent array per positive source: its
 p(p-1) paths (p positive vertices) are walked on demand, never written
-out.  Only the LP's flows, on small graphs, hold explicit paths.
+out.  At the flow ceiling each parent array is built on first access too.
+Only the LP's flows, on small graphs, hold explicit paths.
 
 One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
@@ -47,7 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -91,15 +94,18 @@ class ConcurrentFlow:
     parent array of its routing tree: pair (s, t) is served by the single
     tree path from s to t at amount w(s) * w(t).  Its paths are walked only
     when asked for, so it takes O(p * n) memory for p positive vertices
-    instead of one stored path per ordered pair.  Congestion at a vertex is
-    the total amount over all paths containing it, endpoints included; it
-    is computed on first use, from the paths in `routed()` order.
+    instead of one stored path per ordered pair.  `trees` may build each
+    parent array on first access (see `_LazyBfsTrees`), so a flow whose
+    paths are looked up for a few sources builds only their trees.
+    Congestion at a vertex is the total amount over all paths containing
+    it, endpoints included; it is computed on first use, from the paths in
+    `routed()` order.
     """
 
     def __init__(self, host: WeightedGraph,
                  index: dict[tuple[int, int],
                              list[tuple[tuple[int, ...], float]]],
-                 trees: dict[int, list[int]] | None = None):
+                 trees: Mapping[int, list[int]] | None = None):
         self.host = host
         self.index = index
         self.trees = trees
@@ -215,15 +221,13 @@ def _tree_from(g: WeightedGraph, src: int,
     if cost is None:
         seen = [False] * n
         seen[src] = True
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            order.append(u)
+        order.append(src)
+        for u in order:  # the visit order is the FIFO queue itself
             for v in g.adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u
-                    q.append(v)
+                    order.append(v)
         return parent, order
     dist = [math.inf] * n
     dist[src] = cost[src]
@@ -254,23 +258,56 @@ def _tree_congestion(g: WeightedGraph, positives: list[int],
         parent, order = trees[s]
         ws = w[s]
         acc = [0.0] * g.n
-        for v in reversed(order):
-            if v != s and w[v] > 0:
-                acc[v] += w[v]
-            p = parent[v]
-            if p != -1:
-                acc[p] += acc[v]
-        for v in order:
-            if v != s:
-                cong[v] += ws * acc[v]
+        # order[0] is s and children come after their parents, so a
+        # reverse pass sees each subtree's weight complete
+        for v in reversed(order[1:]):
+            a = acc[v] + w[v]
+            cong[v] += ws * a
+            acc[parent[v]] += a
         cong[s] += ws * (pos_weight_total - ws)
     return cong
+
+
+class _LazyBfsTrees(Mapping):
+    """Parent arrays of the BFS trees from `sources`, built on first access.
+
+    Keys are the sources in their given order.  A built array is cached,
+    so every later access returns the same list.
+    """
+
+    def __init__(self, g: WeightedGraph, sources: list[int]):
+        self._g = g
+        self._parents: dict[int, list[int] | None] = dict.fromkeys(sources)
+
+    def __getitem__(self, s: int) -> list[int]:
+        parent = self._parents[s]
+        if parent is None:
+            parent = self._parents[s] = _tree_from(self._g, s, None)[0]
+        return parent
+
+    def __contains__(self, s: object) -> bool:
+        # Mapping's default would look the key up, building its tree
+        return s in self._parents
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._parents)
+
+    def __len__(self) -> int:
+        return len(self._parents)
 
 
 def _attempt_tree_flow(g: WeightedGraph, gamma: float,
                        positives: list[int]) -> ConcurrentFlow | None:
     """Try to route all demands at congestion <= gamma on source trees."""
     pw = g.weight_of(positives)
+    if gamma >= pw * pw:
+        # The flow ceiling: a simple path carries each ordered demand at
+        # most once, so no vertex carries more than the sum over s != t of
+        # w(s) w(t) = W^2 - sum w^2 < W^2.  Round 1's plain BFS trees would
+        # pass its test below; the float error of its sums (about n 2^-53
+        # relative) lies far inside the slack sum w^2 / W^2 >= 1/p.  The
+        # same trees are returned, each built when first walked.
+        return ConcurrentFlow(g, {}, _LazyBfsTrees(g, positives))
     cost: list[float] | None = None
     for _ in range(_TREE_ROUNDS):
         trees = {s: _tree_from(g, s, cost) for s in positives}

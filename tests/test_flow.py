@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     BalancedSeparatorResult,
@@ -109,11 +111,13 @@ def test_fewer_than_two_positive_weights_gives_empty_flow():
 
 
 def test_disconnected_positives_give_sparsity_zero_cut():
+    # W^2 = 36: the split comes before the flow ceiling is looked at
     g = WeightedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    res = flow_or_sparse_cut(g, 1000.0)
-    assert isinstance(res, Separation)
-    assert res.sparsity == 0.0
-    assert not res.separator
+    for gamma in (36.0, 1000.0):
+        res = flow_or_sparse_cut(g, gamma)
+        assert isinstance(res, Separation)
+        assert res.sparsity == 0.0
+        assert not res.separator
 
 
 def test_zero_weight_vertices_route_nothing_but_may_carry():
@@ -189,6 +193,81 @@ def test_check_walks_every_tree_path():
     res.trees[0][2] = 3  # 3 -> 2 -> 3 never gets back to source 0
     with pytest.raises(FlowError, match="does not lead"):
         res.check()
+
+
+def test_flow_ceiling_builds_a_tree_only_when_its_paths_are_walked(
+        monkeypatch):
+    # At gamma >= W^2 every routing fits, so the flow comes back with no
+    # tree built; looking up one pair builds its source's tree only.
+    _, trees = _recording(monkeypatch, "_tree_from")
+
+    def built():
+        return [order[0] for _, order in trees]
+
+    g = grid_graph(6).with_weights([1.0 + v % 3 for v in range(36)])
+    res = flow_or_sparse_cut(g, g.total_weight ** 2)
+    assert isinstance(res, ConcurrentFlow)
+    assert res.path_count == 36 * 35
+    assert 7 in res.trees and 36 not in res.trees
+    assert built() == []
+    [(verts, amount)] = res.paths_between(0, 35)
+    assert (verts[0], verts[-1], amount) == (0, 35, 1.0 * 3.0)
+    assert built() == [0]
+    res.paths_between(0, 20)
+    assert res.trees[0] is res.trees[0]
+    assert built() == [0]
+    res.paths_between(35, 0)
+    assert built() == [0, 35]
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(40),
+    grid_graph(7).with_weights([0.1 * (v % 4) for v in range(49)]),
+    cycle_graph(30).with_weights([10.0 ** (v % 7 - 3) for v in range(30)]),
+    barbell_graph(8, 5).with_weights([0.3] * 21),
+])
+def test_flow_ceiling_walks_the_paths_of_eager_bfs_trees(g):
+    # the trees round 1 of the routing built, and whose congestion it
+    # checked against gamma, before the ceiling skipped that round
+    w = g.weights
+    positives = [v for v in range(g.n) if w[v] > 0]
+    gamma = g.total_weight ** 2
+    res = flow_or_sparse_cut(g, gamma)
+    assert isinstance(res, ConcurrentFlow)
+    bfs = {s: _tree_from(g, s, None) for s in positives}
+    assert max(_tree_congestion(g, positives, bfs, g.total_weight)) <= gamma
+    eager = ConcurrentFlow(g, {}, {s: parent for s, (parent, _) in bfs.items()})
+    assert list(res.trees) == positives
+    assert list(res.routed()) == list(eager.routed())
+    assert res.congestion_vector() == eager.congestion_vector()
+    assert res.path_count == eager.path_count
+    assert res.trees == eager.trees
+
+
+@st.composite
+def _connected_weighted_hosts(draw):
+    # a random recursive tree plus extra edges; zero, unit and skewed weights
+    n = draw(st.integers(2, 30))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(e), max(e)) for e in extra if e[0] != e[1]}
+    weight = st.one_of(st.just(0.0), st.just(1.0),
+                       st.floats(-6, 6).map(lambda x: 10 ** x))
+    return WeightedGraph(n, sorted(edges),
+                         draw(st.lists(weight, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_connected_weighted_hosts(), st.floats(0, 3))
+def test_flow_at_or_above_the_ceiling_fits_gamma(g, u):
+    gamma = g.total_weight ** 2 * 10 ** u
+    if gamma == 0:
+        return  # no positive weight: gamma must be positive
+    res = flow_or_sparse_cut(g, gamma)
+    assert isinstance(res, ConcurrentFlow)
+    res.check()
+    assert res.max_congestion() <= gamma
 
 
 def test_cut_orders_cover_a_host_with_isolated_vertices():

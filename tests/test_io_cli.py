@@ -246,6 +246,22 @@ def test_cli_verify_model_reads_a_separate_model_result(tmp_path, capsys):
     assert (code, out, err) == (0, "model is valid at fatness 3\n", "")
 
 
+def test_cli_verify_model_rejects_other_separate_results(tmp_path, capsys):
+    # a separator result (grid and K2) and a failure result (no trials)
+    args = _path_k2_rounding_args(tmp_path)
+    gpath = tmp_path / "g10.txt"
+    write_graph(grid_graph(10), str(gpath))
+    sep_args = [str(gpath), *args[1:3]]
+    for run_args in (sep_args, args + ["--trials", "0"]):
+        rpath = tmp_path / "r.json"
+        run_cli(capsys, "separate", *run_args, "--out", str(rpath), "--quiet")
+        assert json.loads(rpath.read_text())["result"] != "model"
+        code, out, err = run_cli(capsys, "verify-model", *run_args[:3],
+                                 "--model", str(rpath), "--fatness", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: result file does not hold a model result\n"
+
+
 def test_cli_separate_failure_is_exit_two(tmp_path, capsys):
     args = _path_k2_rounding_args(tmp_path) + ["--trials", "0"]
     code, out, err = run_cli(capsys, "separate", *args)

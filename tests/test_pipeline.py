@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coarsesep
 from coarsesep import (
     GraphError,
     HeavyFlowResult,
@@ -192,6 +197,44 @@ def test_override_heavy_clusters_join_separator():
     report = verify_separator(g, res.certificate.separator,
                               res.certificate.centers, res.certificate.radius)
     assert report.ok
+
+
+def test_rounded_models_match_golden_digest():
+    # Captured before the flow ceiling, when the heavy part's flow was
+    # still routed and its congestion computed ahead of rounding.
+    g = path_graph(1200)
+    digest = hashlib.sha256()
+    for seed in range(6):
+        cfg = PipelineConfig(eps=1.0, congestion_override=1e15, seed=seed)
+        res = coarse_separator_or_model(g, K2, 3, cfg)
+        assert isinstance(res, ModelFound) and res.branch == "rounding"
+        digest.update(repr(res.model.all_sets()).encode())
+    assert digest.hexdigest() == (
+        "526fab4c9e9c0caad47250801a5b37592117ae990c4d416e385e4c7c96ffc4bf")
+
+
+_ROUNDING_SCRIPT = """
+import sys
+from coarsesep import ModelFound, PatternGraph, PipelineConfig
+from coarsesep import coarse_separator_or_model
+from coarsesep.generators import path_graph
+cfg = PipelineConfig(eps=1.0, congestion_override=1e15, seed=0)
+res = coarse_separator_or_model(path_graph(1200), PatternGraph(2, [(0, 1)]),
+                                3, cfg)
+print(isinstance(res, ModelFound), "numpy" in sys.modules)
+"""
+
+
+def test_rounding_at_the_flow_ceiling_never_imports_numpy():
+    # no sweep, spectral order or LP runs on this branch, so numpy's memory
+    # stays out of the process
+    env = dict(os.environ)
+    src = str(Path(coarsesep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _ROUNDING_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
