@@ -19,6 +19,8 @@ model in the d-th graph power into a d-fat model in the base graph.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from collections import deque
@@ -418,13 +420,10 @@ def sample_crude_model(sub: SubdividedPattern, flow: ConcurrentFlow,
         population = [v for v in population if w[v] > 0]
     if not population:
         raise GraphError("flow host carries no weight to sample from")
-    cum = []
-    acc = 0.0
-    for v in population:
-        acc += w[v]
-        cum.append(acc)
+    cum = list(itertools.accumulate(w[v] for v in population))
     vertex_map = {
-        x: population[_bisect(cum, rng.random() * acc)]
+        x: population[bisect.bisect_right(cum, rng.random() * cum[-1], 0,
+                                          len(cum) - 1)]
         for x in sub.vertices
     }
     edge_paths: dict[SubEdge, tuple[int, ...]] = {}
@@ -447,17 +446,6 @@ def sample_crude_model(sub: SubdividedPattern, flow: ConcurrentFlow,
                 break
         edge_paths[e] = tuple(chosen)
     return CrudeFatModel(fatness, vertex_map, edge_paths)
-
-
-def _bisect(cum: list[float], x: float) -> int:
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if x < cum[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,19 @@ Cuts come from prefix sweeps of several vertex orders (BFS region growing,
 LP dual lengths, spectral, weight orders).  A call tries, in order:
 
 1. the window: below the endpoint bound max_v 2 w(v) (W - w(v)) no flow
-   exists and only the final sweep runs; at or above W^2 / 2 plus that
-   bound no sweep cut can prove a flow impossible, so none is tried; and
-   at or above the flow ceiling W^2 every routing fits, so the plain BFS
-   trees are returned without computing their congestion;
-2. inside the window, a sweep whose best prefix cut may certify that every
-   flow has congestion above gamma (weak flow-cut duality, one vertex cut);
-3. unless certified, congestion-aware shortest-path-tree routing;
-4. on small graphs, an exact linear program on the standard
+   exists and only the final sweep runs; at or above the flow ceiling W^2
+   every routing fits, so the plain BFS trees are returned without
+   computing their congestion;
+2. inside the window, congestion-aware shortest-path-tree routing;
+3. on small graphs, an exact linear program on the standard
    vertex-splitting digraph: every vertex becomes an arc of capacity one,
    so multicommodity edge flows there are exactly vertex-capacitated flows
    here;
-5. the sweep for the returned cut, reusing step 2's unless the LP gave
-   dual lengths to order vertices by.
+4. one sweep for the returned cut, which also walks the LP's dual lengths
+   when there are any.
 
-Each cut candidate, and each congestion bound that skips the routing, is
-recomputed from scratch before it is used, so a returned object always
-satisfies its side of the dichotomy.
+Each cut candidate is recomputed from scratch before it is used, so a
+returned object always satisfies its side of the dichotomy.
 
 A tree-routed flow is stored as one parent array per positive source: its
 p(p-1) paths (p positive vertices) are walked on demand, never written
@@ -63,9 +59,6 @@ CUT_CONSTANT = 64.0
 _LP_MAX_N = 36  # the exact LP runs on hosts up to this many vertices
 _TREE_ROUNDS = 3  # routing rounds, each against the last one's congestion
 _REL_TOL = 1e-9
-# relative margin a sweep's congestion bound needs above the routing's
-# acceptance threshold before the routing is skipped
-_CERT_MARGIN = 1e-6
 
 
 class FlowCutError(RuntimeError):
@@ -518,31 +511,23 @@ def _flow_from_lp(g: WeightedGraph, positives: list[int],
 
 
 def _sweep_order(g: WeightedGraph, order: list[int], total: float
-                 ) -> tuple[tuple[float, int] | None, tuple[float, int]]:
-    """Sparsest prefix cut of the order, and its best congestion bound.
+                 ) -> tuple[float, int] | None:
+    """Sparsest prefix cut of the order, as (sparsity, prefix length).
 
-    Returns the (sparsity, prefix length) of the sparsest prefix cut, and
-    the (bound, prefix length) of the prefix whose running value of
-    `_congestion_lower_bound` is largest; (0.0, 0) when no prefix has a
-    boundary.  The running values drift with the float sums, so a bound is
-    recomputed before it is used.
+    None when no prefix leaves positive weight on both sides.  The running
+    sums drift with float error, so the cut is recomputed before it is used.
     """
     w = g.weights
     adj = g.adj
-    ends = [2.0 * x * (total - x) for x in w]
     state = [0] * g.n  # 0 outside, 1 in the boundary S, 2 in the prefix U
     w_u = 0.0
     w_s = 0.0
-    end_s = 0.0  # the endpoint demands of S
     s_count = 0
     best_alpha = math.inf
     best_len = 0
-    peak_lb = 0.0
-    peak_len = 0
     for length, v in enumerate(order[:-1], 1):
         if state[v] == 1:
             w_s -= w[v]
-            end_s -= ends[v]
             s_count -= 1
         state[v] = 2
         w_u += w[v]
@@ -550,7 +535,6 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float
             if not state[y]:
                 state[y] = 1
                 w_s += w[y]
-                end_s += ends[y]
                 s_count += 1
         wa = w_u + w_s
         wb = total - w_u
@@ -558,52 +542,17 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float
             alpha = s_count / (wa * wb)
             if alpha < best_alpha:
                 best_alpha, best_len = alpha, length
-        if s_count:  # wb - w_s is w(R)
-            lb = (2.0 * w_u * (wb - w_s) + end_s) / s_count
-            if lb > peak_lb:
-                peak_lb, peak_len = lb, length
-    best = (best_alpha, best_len) if best_len else None
-    return best, (peak_lb, peak_len)
-
-
-def _prefix_sides(g: WeightedGraph, order: list[int],
-                  length: int) -> tuple[set[int], set[int]]:
-    """The prefix U = order[:length] and its boundary N(U) minus U."""
-    u_set = set(order[:length])
-    boundary = set()
-    for v in u_set:
-        for y in g.adj[v]:
-            if y not in u_set:
-                boundary.add(y)
-    return u_set, boundary
+    return (best_alpha, best_len) if best_len else None
 
 
 def _prefix_separation(g: WeightedGraph, order: list[int],
                        length: int) -> Separation:
-    u_set, boundary = _prefix_sides(g, order, length)
-    return make_separation(g, u_set | boundary, set(range(g.n)) - u_set)
-
-
-def _congestion_lower_bound(g: WeightedGraph, order: list[int],
-                            length: int) -> float:
-    """A floor on every flow's max congestion, from one prefix cut.
-
-    For the prefix U, its boundary S and the rest R, the vertices of S
-    together carry at least 2 w(U) w(R) + sum_s 2 w(s) (W - w(s)): every
-    U-R demand path has an interior vertex in S, and each s in S carries
-    its own demands as an endpoint.  One of them carries a 1/|S| share.
-    Computed from scratch with exact sums; 0.0 when S is empty.
-    """
-    u_set, boundary = _prefix_sides(g, order, length)
-    if not boundary:
-        return 0.0
-    w = g.weights
-    total = g.total_weight
-    w_r = math.fsum(w[v] for v in range(g.n)
-                    if v not in u_set and v not in boundary)
-    load = math.fsum([2.0 * g.weight_of(u_set) * w_r]
-                     + [2.0 * w[s] * (total - w[s]) for s in boundary])
-    return load / len(boundary)
+    """A = the prefix U = order[:length] with its neighbours, B = V - U."""
+    u_set = set(order[:length])
+    side_a = set(u_set)
+    for v in u_set:
+        side_a.update(g.adj[v])
+    return make_separation(g, side_a, set(range(g.n)) - u_set)
 
 
 def _fiedler_order(g: WeightedGraph) -> list[int] | None:
@@ -685,24 +634,15 @@ def _cut_orders(g: WeightedGraph, positives: list[int],
 
 def _best_sweep_separation(g: WeightedGraph, positives: list[int],
                            dual_lengths: list[float] | None
-                           ) -> tuple[Separation | None,
-                                      tuple[list[int], int]]:
-    """Sparsest prefix cut over all orders, and the best bound's prefix.
-
-    The second item is the (order, prefix length) at which the orders'
-    running `_congestion_lower_bound` peaked; ([], 0) when none has one.
-    """
+                           ) -> Separation | None:
+    """Sparsest prefix cut over all orders; None when no order has one."""
     total = g.total_weight
     best: tuple[float, list[int], int] | None = None
-    peak: tuple[float, list[int], int] = (0.0, [], 0)
     for order in _cut_orders(g, positives, dual_lengths):
-        hit, (lb, length) = _sweep_order(g, order, total)
+        hit = _sweep_order(g, order, total)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], order, hit[1])
-        if lb > peak[0]:
-            peak = (lb, order, length)
-    sep = None if best is None else _prefix_separation(g, best[1], best[2])
-    return sep, peak[1:]
+    return None if best is None else _prefix_separation(g, best[1], best[2])
 
 
 def _component_split(g: WeightedGraph) -> Separation | None:
@@ -728,8 +668,8 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     """Concurrent flow at congestion <= gamma, or a sparse separation.
 
     A returned separation has sparsity at most CUT_CONSTANT * ln(n) / gamma.
-    The steps are those of the module docstring: the window, the sweep
-    certificate, tree routing, the LP, then the sweep for the cut.
+    The steps are those of the module docstring: the window, tree routing,
+    the LP, then the sweep for the cut.
     Raises FlowCutError when neither side can be certified, which on sound
     inputs only signals solver non-convergence.
     """
@@ -749,20 +689,10 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     pw = g.weight_of(positives)
     endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
     dual_lengths: list[float] | None = None
-    sweep: tuple[Separation | None, tuple[list[int], int]] | None = None
     if gamma * (1 + _REL_TOL) >= endpoint_lb:
-        # Bound: for a prefix U, its boundary S and the rest R, every U-R
-        # demand path has an interior vertex in S and each s in S carries its
-        # own 2 w(s) (W - w(s)), so some s carries (2 w(U) w(R) + those) / |S|.
-        # Ceiling: 2 w(U) w(R) <= W^2 / 2 and each s's own share is at most
-        # endpoint_lb, so no cut certifies from W^2 / 2 + endpoint_lb up.
-        if gamma < pw * pw / 2 + endpoint_lb:
-            sweep = _best_sweep_separation(g, positives, None)
-        if sweep is None or (_congestion_lower_bound(g, *sweep[1])
-                             <= gamma * (1 + _REL_TOL) * (1 + _CERT_MARGIN)):
-            flow = _attempt_tree_flow(g, gamma, positives)
-            if flow is not None:
-                return flow
+        flow = _attempt_tree_flow(g, gamma, positives)
+        if flow is not None:
+            return flow
         if g.n <= _LP_MAX_N:
             outcome = _solve_throughput_lp(g, positives)
             if any(x > 1e-12 for x in outcome.dual_lengths or ()):
@@ -776,11 +706,9 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # weight-ascending order's last prefix cuts off a heaviest vertex t at
     # sparsity 1 / (W w(t)), while gamma < endpoint_lb <= 2 w(t) W makes the
     # bound exceed 32 ln(n) / (W w(t)).  So this one sweep always succeeds
-    # there, and no second LP pass could ever run after it.  Without dual
-    # lengths the window's sweep walked the same orders, so it is reused.
-    if sweep is None or dual_lengths is not None:
-        sweep = _best_sweep_separation(g, positives, dual_lengths)
-    sep = sweep[0]
+    # there, and no second LP pass could ever run after it.  Inside the
+    # window this is the only sweep, and the LP's dual lengths add orders.
+    sep = _best_sweep_separation(g, positives, dual_lengths)
     if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
 
@@ -903,7 +831,7 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     # the positives share a component, so a heaviest vertex t has a
     # neighbour, and the weight-ascending order's last prefix V - t is a
     # valid cut: the sweep never comes back empty here
-    return _best_sweep_separation(g, positives, None)[0]
+    return _best_sweep_separation(g, positives, None)
 
 
 def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
@@ -915,8 +843,7 @@ def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
 
     Against `balanced_separator_or_flow` at the budget gamma where it first
     returns a separator: there no step returned a flow, and each step's cut
-    was the component split or the plain sweep, reused from the window or
-    taken below the endpoint bound.  The one exception is a step where the
+    was the component split or the plain sweep.  The one exception is a step where the
     LP ran (at most _LP_MAX_N active vertices, gamma inside the window) and
     gave nonzero dual lengths, whose orders join the sweep.  Since the
     sweep does not depend on gamma, the two peels agree on every host that

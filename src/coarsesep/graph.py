@@ -15,6 +15,7 @@ can reuse one list for many searches.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Sequence
@@ -107,14 +108,8 @@ class WeightedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        i = bisect.bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def with_weights(self, weights: Sequence[float]) -> "WeightedGraph":
         """The same graph with new (checked) weights; shares `adj`."""

@@ -207,6 +207,8 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     certificates are verified on `g`.
     """
     config = config or PipelineConfig()
+    if config.trials < 0:
+        raise GraphError(f"trials must be nonnegative, got {config.trials}")
     if pattern.n == 0:
         return ModelFound(FatModel(3, {}, {}), "degenerate")
     if g.n == 0 or g.total_weight <= 0:

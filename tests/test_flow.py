@@ -29,9 +29,8 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import (_best_sweep_separation, _congestion_lower_bound,
-                            _cut_orders, _fiedler_order, _tree_congestion,
-                            _tree_from)
+from coarsesep.flow import (_cut_orders, _fiedler_order, _sweep_order,
+                            _tree_congestion, _tree_from)
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -380,11 +379,11 @@ def test_sweep_alone_answers_below_the_endpoint_bound(monkeypatch):
 
 def test_flow_or_sparse_cut_outputs_match_golden_digest():
     # Every result of the dichotomy on 60 seeded random hosts, at one gamma
-    # below the endpoint bound, one inside the window where a sweep cut may
-    # certify that no flow fits, and one around W^2.  The digest covers the
-    # kind, the sides, repr of the sparsity, every routed path with its
-    # amount and the congestion vector.  It was captured before the sweep
-    # certificate let flow_or_sparse_cut skip the tree routing.
+    # below the endpoint bound, one inside the window (between it and
+    # W^2 / 2 plus it), and one around W^2.  The digest covers the kind, the
+    # sides, repr of the sparsity, every routed path with its amount and the
+    # congestion vector.  It holds both with and without the former sweep
+    # certificate, which skipped only routings it proved would fail.
     rng = random.Random(11)
     digest = hashlib.sha256()
     kinds = []
@@ -427,16 +426,15 @@ def _recording(monkeypatch, name):
     return original, results
 
 
-def test_sweep_certificate_skips_only_routing_that_fails(monkeypatch):
-    # Inside the window a sweep cut may certify that every flow has max
-    # congestion above gamma; flow_or_sparse_cut then skips the routing.
-    # Whenever it does, the routing must fail and the exact LP optimum must
-    # be at least the certified bound.
-    route, routed = _recording(monkeypatch, "_attempt_tree_flow")
-    _, solved = _recording(monkeypatch, "_solve_throughput_lp")
-    rng = random.Random(13)
-    fired = tried = 0
-    while tried < 60:
+def _in_window_calls(rng, count):
+    """Three fixed (host, gamma) calls, then seeded ones up to `count`.
+
+    The seeded gammas lie between the endpoint bound and W^2, log-uniform,
+    on hosts whose positives share a component.
+    """
+    calls = [(cycle_graph(6), 15.0), (cycle_graph(6), 10.0),
+             (grid_graph(5, 5), 60.0)]
+    while len(calls) < count:
         g = _random_sparse_host(rng, 36)
         w = g.weights
         positives = [v for v in range(g.n) if w[v] > 0]
@@ -444,26 +442,82 @@ def test_sweep_certificate_skips_only_routing_that_fails(monkeypatch):
                 any(w[v] > 0 for v in comp)
                 for comp in connected_components(g)) > 1:
             continue
-        tried += 1
         total = g.total_weight
         endpoint_lb = max(2.0 * w[v] * (total - w[v]) for v in positives)
-        ceiling = total * total / 2 + endpoint_lb
-        gamma = endpoint_lb * (ceiling / endpoint_lb) ** rng.random() ** 2
+        gamma = endpoint_lb * (total * total / endpoint_lb) ** rng.random()
+        calls.append((g, gamma))
+    return calls
+
+
+def test_window_routes_first_and_sweeps_once_only_for_a_cut(monkeypatch):
+    # Inside the window the dichotomy routes before it sweeps: a call that
+    # returns a flow runs no sweep, and a call that returns a cut runs
+    # exactly one, after the routing (and on small hosts the LP) failed.
+    _, swept = _recording(monkeypatch, "_best_sweep_separation")
+    _, routed = _recording(monkeypatch, "_attempt_tree_flow")
+    kinds = []
+    for g, gamma in _in_window_calls(random.Random(13), 60):
+        swept.clear()
         routed.clear()
-        solved.clear()
         res = flow_or_sparse_cut(g, gamma)
-        if routed:
-            continue
-        fired += 1
-        _, prefix = _best_sweep_separation(g, positives, None)
-        floor = _congestion_lower_bound(g, *prefix)
-        assert floor > gamma
-        assert isinstance(res, Separation)
-        assert route(g, gamma, positives) is None
-        # the LP still runs, since its dual lengths choose sweep orders
-        assert len(solved) == 1
-        assert 1.0 / solved[0].throughput >= floor * (1 - 1e-7)
-    assert 0 < fired < tried, (fired, tried)
+        assert len(routed) == 1
+        if isinstance(res, ConcurrentFlow):
+            assert len(swept) == 0
+        else:
+            assert len(swept) == 1
+            assert routed[0] is None
+            assert swept[0] == res
+        kinds.append(type(res))
+    assert kinds[:3] == [ConcurrentFlow, Separation, Separation]
+    assert ConcurrentFlow in kinds[3:] and Separation in kinds[3:]
+
+
+@st.composite
+def _hosts_with_orders(draw):
+    # Weights are small integers or powers of two, zeros included, so every
+    # running sum of the sweep is exact: whether a prefix counts must then
+    # agree with the brute force, not just come close to it.
+    n = draw(st.integers(1, 25))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    edges = sorted({(min(e), max(e)) for e in extra if e[0] != e[1]})
+    weight = st.one_of(st.just(0.0), st.integers(0, 5).map(float),
+                       st.integers(-8, 8).map(lambda k: 2.0 ** k))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return WeightedGraph(n, edges, weights), order
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_hosts_with_orders())
+def test_sweep_order_finds_the_sparsest_prefix_cut(host_order):
+    g, order = host_order
+    w = g.weights
+
+    def exact_sparsity(length):
+        # the cut (U + N(U), V - U) of the prefix U, or None if a side
+        # carries no weight
+        u_set = set(order[:length])
+        side_a = u_set.union(*(g.adj[v] for v in u_set))
+        side_b = set(range(g.n)) - u_set
+        wa = math.fsum(w[v] for v in side_a)
+        wb = math.fsum(w[v] for v in side_b)
+        if wa <= 0 or wb <= 0:
+            return None
+        return len(side_a & side_b) / (wa * wb)
+
+    exact = [exact_sparsity(length) for length in range(1, g.n)]
+    valid = [x for x in exact if x is not None]
+    hit = _sweep_order(g, order, g.total_weight)
+    if not valid:
+        assert hit is None
+        return
+    assert hit is not None
+    alpha, length = hit
+    found = exact[length - 1]
+    assert found is not None
+    assert found <= min(valid) * (1 + 1e-9)
+    assert alpha == pytest.approx(found, rel=1e-9, abs=0)
 
 
 def test_induced_gnp_routes_only_where_no_cut_rules_a_flow_out(monkeypatch):

@@ -274,6 +274,13 @@ def test_cli_separate_failure_is_exit_two(tmp_path, capsys):
         "collision_failures": 0, "spread_failures": 0, "lift_failures": 0}
 
 
+def test_cli_separate_rejects_negative_trials(tmp_path, capsys):
+    args = _path_k2_rounding_args(tmp_path) + ["--trials", "-1"]
+    code, out, err = run_cli(capsys, "separate", *args)
+    assert (code, out) == (2, "")
+    assert err == "error: trials must be nonnegative, got -1\n"
+
+
 def test_cli_separate_json_schema(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     ppath = tmp_path / "k2.txt"

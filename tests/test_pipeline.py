@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,13 @@ def test_override_single_trial_can_fail():
     assert res.trials == 1
     assert (res.collision_failures + res.spread_failures
             + res.lift_failures) == 1
+
+
+@pytest.mark.parametrize("pattern", [PatternGraph(0, []), K2])
+def test_negative_trials_are_rejected(pattern):
+    cfg = PipelineConfig(congestion_override=1e15, trials=-1, seed=0)
+    with pytest.raises(GraphError, match="trials must be nonnegative, got -1"):
+        core_3fat(path_graph(50), pattern, cfg)
 
 
 def test_override_heavy_clusters_join_separator():
@@ -431,3 +439,66 @@ def test_default_quotient_oracle_is_balanced(q):
     for c in (0.01, 0.3, 2.0):
         res = balanced_separator_or_flow(g, c * g.total_weight ** 2)
         _assert_peel_structure(g, res)
+
+
+def _weighted(g, kind, seed):
+    rng = random.Random(seed)
+    if kind == "integer":
+        return g.with_weights([float(rng.randint(1, 9)) for _ in range(g.n)])
+    if kind == "skewed":
+        return g.with_weights([10 ** rng.uniform(-3, 3) for _ in range(g.n)])
+    return g
+
+
+@st.composite
+def _small_override_runs(draw):
+    # A host with n <= 30, weights, pattern, fatness, eps and a congestion
+    # override from far below W^2 to just above it.  These end in peeling or
+    # heavy clusters: rounding needs light clusters, each under W / (4 h^2),
+    # to outweigh the heavy ones, so it needs about 50 clusters at least.
+    family = draw(st.sampled_from(["path", "cycle", "grid", "gnp"]))
+    if family == "path":
+        g = path_graph(draw(st.integers(2, 30)))
+    elif family == "cycle":
+        g = cycle_graph(draw(st.integers(3, 30)))
+    elif family == "grid":
+        g = grid_graph(draw(st.integers(1, 5)), draw(st.integers(2, 6)))
+    else:
+        g = gnp_graph(draw(st.integers(2, 30)), draw(st.floats(0.05, 0.5)),
+                      seed=draw(st.integers(0, 1000)))
+    g = _weighted(g, draw(st.sampled_from(["unit", "integer", "skewed"])),
+                  draw(st.integers(0, 2 ** 32)))
+    pattern = draw(st.sampled_from([K2, K3]))
+    d = draw(st.sampled_from([1, 3, 5]))
+    eps = draw(st.sampled_from([0.5, 1.0]))
+    override = g.total_weight ** 2 * 10 ** draw(st.floats(-5, 0.5))
+    return g, pattern, d, eps, override
+
+
+@st.composite
+def _long_override_runs(draw):
+    # Long paths and cycles from the region where rounding runs: K2, d <= 3,
+    # eps = 1, near-uniform weights and an override near W^2.
+    g = draw(st.sampled_from([path_graph, cycle_graph]))(
+        draw(st.integers(1000, 1600)))
+    g = _weighted(g, draw(st.sampled_from(["unit", "integer"])),
+                  draw(st.integers(0, 2 ** 32)))
+    override = g.total_weight ** 2 * 10 ** draw(st.floats(-0.5, 0.5))
+    return g, K2, draw(st.sampled_from([1, 3])), 1.0, override
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.one_of(_small_override_runs(), _long_override_runs()))
+def test_outputs_verify_under_any_congestion_override(run):
+    g, pattern, d, eps, override = run
+    cfg = PipelineConfig(eps=eps, trials=8, seed=0,
+                         congestion_override=override)
+    res = coarse_separator_or_model(g, pattern, d, cfg)
+    if isinstance(res, SeparatorFound):
+        assert_verified_certificate(g, res, eps=eps, d=d)
+    elif isinstance(res, ModelFound):
+        assert verify_fat_model(g, pattern, res.model, d).ok
+    else:
+        assert isinstance(res, PipelineFailure)
+        assert res.stage == "rounding"
+        assert (res.collision_failures + res.spread_failures
+                + res.lift_failures) == res.trials == 8
