@@ -205,6 +205,14 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     (unit weights are used as they are).  `congestion_override` and the
     reported `gamma` scale as W^2 and are in the caller's scale;
     certificates are verified on `g`.
+
+    At the paper's gamma the rounding branch needs quotients far larger
+    than this pure-Python code reaches.  A flow needs gamma at least the
+    endpoint bound of the active quotient, which on N clusters of equal
+    weight is about W^2 / N, and |close| >= N; so it needs N >= 1024 h^2
+    clusters, about 50,000 for K2 (h = 7) and 330,000 for a triangle
+    (h = 18), and its routing keeps N trees of N entries each.  Only
+    `congestion_override` reaches that branch.
     """
     config = config or PipelineConfig()
     if config.trials < 0:
@@ -324,8 +332,8 @@ def induced_minor_separator(g: WeightedGraph,
     the quotient blows up to a balanced separator of the graph made of
     whole stars, so single-ball coverage is automatic.  The quotient
     separator comes from `quotient_oracle` (default: peel sweep cuts of the
-    quotient, `balanced_separator_by_sweeps`, with no congestion budget,
-    routing or LP).  The quotient carries the weights divided by the
+    quotient, `balanced_separator_by_sweeps`, with no congestion budget
+    or routing).  The quotient carries the weights divided by the
     heaviest one, so uniform weights at any scale give the unit-weight
     answer.  The oracle's ids are checked to be in range; its balance is
     checked once, when the certificate is verified on `g`, since the

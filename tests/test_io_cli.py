@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +199,23 @@ def test_cli_flowcut_json(tmp_path, capsys):
     assert data["kind"] == "flow"
     assert data["paths"] == 6
     assert data["max_congestion"] == 6.0
+
+
+def test_cli_flowcut_answers_small_demands_inside_the_window(tmp_path,
+                                                             capsys):
+    # some product demands here are about 1e-9 of W^2; the routing fails,
+    # and the sweep's cut is within the bound 64 ln(15) / gamma
+    gpath = tmp_path / "c15.txt"
+    wpath = tmp_path / "c15.w"
+    write_graph(cycle_graph(15), str(gpath))
+    write_weights([196, 0.13, 0.00421, 2.47, 15.9, 55.7, 0.301, 1.09, 200,
+                   0.0255, 0.00713, 0.0143, 0.978, 45.7, 138], str(wpath))
+    code, out, err = run_cli(capsys, "flowcut", str(gpath), "--weights",
+                             str(wpath), "--gamma", "215207.89", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["kind"] == "cut"
+    assert data["sparsity"] <= 64.0 * math.log(15) / 215207.89
 
 
 def test_cli_flowcut_rejects_nan_gamma(tmp_path, capsys):
@@ -503,12 +521,13 @@ _GOLDEN = [
     (["bench", "--family", "gnp", "--sizes", "40", "--p", "0.1"],
      "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
      "40,separator,24,1,3,,True\r\n"),
-    # flow_or_sparse_cut's branches: LP flows, a sweep that also walks the
-    # LP's dual lengths, a tree flow, a plain sweep and the component split
+    # flow_or_sparse_cut's branches: in-window sweeps after the routing
+    # failed (C6 at 15 and 10, T3 at 20), a tree flow, a sweep below the
+    # endpoint bound and the component split
     (["flowcut", "{c6}", "--gamma", "15", "--json"],
-     '{\n  "kind": "flow",\n  "max_congestion": 14.0,\n  "paths": 30\n}\n'),
+     "sha256:74d35c5067e1e75ce61dc286fe5c7d08965ba8953489b940896d93053a4c6119"),
     (["flowcut", "{t3}", "--gamma", "20", "--json"],
-     '{\n  "kind": "flow",\n  "max_congestion": 20.0,\n  "paths": 72\n}\n'),
+     "sha256:334941b8974014679a25c9fa9ed5250f2b3cf7764617acb0b3072fb35d85ba9b"),
     (["flowcut", "{c6}", "--gamma", "10", "--json"],
      "sha256:74d35c5067e1e75ce61dc286fe5c7d08965ba8953489b940896d93053a4c6119"),
     (["flowcut", "{p3}", "--gamma", "6", "--json"],

@@ -233,16 +233,36 @@ print(isinstance(res, ModelFound), "numpy" in sys.modules)
 """
 
 
-def test_rounding_at_the_flow_ceiling_never_imports_numpy():
-    # no sweep, spectral order or LP runs on this branch, so numpy's memory
-    # stays out of the process
+def _run_script(script):
+    """stdout of `script` in a fresh interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(coarsesep.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", _ROUNDING_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["True", "False"]
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_rounding_at_the_flow_ceiling_never_imports_numpy():
+    # no sweep or spectral order runs on this branch, so numpy's memory
+    # stays out of the process
+    assert _run_script(_ROUNDING_SCRIPT).split() == ["True", "False"]
+
+
+_WINDOW_SCRIPT = """
+import sys
+from coarsesep import Separation, flow_or_sparse_cut
+from coarsesep.generators import cycle_graph
+res = flow_or_sparse_cut(cycle_graph(6), 15.0)
+print(isinstance(res, Separation), "numpy" in sys.modules,
+      "scipy" in sys.modules)
+"""
+
+
+def test_the_window_never_imports_scipy():
+    # inside the window the routing fails on C6 at 15 and the sweep, with
+    # its spectral order, answers; nothing there needs scipy
+    assert _run_script(_WINDOW_SCRIPT).split() == ["True", "True", "False"]
 
 
 # ---------------------------------------------------------------------------
