@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -407,9 +406,8 @@ def sample_crude_model(sub: SubdividedPattern, flow: ConcurrentFlow,
 
     Subdivision vertices get independent weight-proportional host vertices
     (from `population` if given, else from every positive-weight vertex);
-    each subdivision edge gets a flow path between its endpoint images,
-    chosen with probability proportional to the path amount (demands are
-    exactly the weight products, so this is well defined).  The candidate
+    each subdivision edge gets the flow's tree path between its endpoint
+    images (a tree flow routes each pair on one path).  The candidate
     carries no guarantee: callers must verify and resample on failure.
     """
     host = flow.host
@@ -432,19 +430,10 @@ def sample_crude_model(sub: SubdividedPattern, flow: ConcurrentFlow,
         if a == b:
             edge_paths[e] = (a,)
             continue
-        entries = flow.paths_between(a, b)
-        if not entries:
-            raise GraphError(f"flow routes nothing between {a} and {b}")
-        total = math.fsum(amount for _, amount in entries)
-        pick = rng.random() * total
-        run = 0.0
-        chosen = entries[-1][0]
-        for verts, amount in entries:
-            run += amount
-            if pick < run:
-                chosen = verts
-                break
-        edge_paths[e] = tuple(chosen)
+        # the pair has one path, so this draw picks nothing; it keeps each
+        # seed's random stream, hence its model and `separate` output, fixed
+        rng.random()
+        edge_paths[e] = flow.path(a, b)
     return CrudeFatModel(fatness, vertex_map, edge_paths)
 
 

@@ -15,17 +15,18 @@ not look for the better one.  It tries, in order:
 
 1. the window: below the endpoint bound max_v 2 w(v) (W - w(v)) no flow
    exists and only the sweep runs; at or above the flow ceiling W^2 every
-   routing fits, so the plain BFS trees are returned without computing
-   their congestion;
-2. inside the window, congestion-aware shortest-path-tree routing;
+   routing fits, so the BFS-tree flow is returned without computing its
+   congestion;
+2. inside the window, the same BFS-tree flow, returned only if its
+   congestion stays within gamma;
 3. one sweep for the returned cut.
 
 Each cut candidate is recomputed from scratch before it is used, so a
 returned object always satisfies its side of the dichotomy.
 
-A flow is stored as one shortest-path tree per positive source: its
-p(p-1) paths (p positive vertices) are walked on demand, never written
-out.  At the flow ceiling each tree is built on first access too.
+A flow is stored as one BFS tree per positive source: its p(p-1) paths
+(p positive vertices) are walked on demand, never written out, and each
+tree is built on first access.
 
 One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
@@ -38,25 +39,23 @@ congestion budget and never routes.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .graph import (GraphError, Separation, WeightedGraph,
+from .graph import (GraphError, Separation, WeightedGraph, bfs_distances,
                     connected_components, induced_subgraph, make_separation)
 
 # c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
 # gap (Leighton and Rao, JACM 1999)
 CUT_CONSTANT = 64.0
-_TREE_ROUNDS = 3  # routing rounds, each against the last one's congestion
 _REL_TOL = 1e-9
 
 
 class FlowCutError(RuntimeError):
-    """Neither the routing nor the sweep certified a side of the dichotomy."""
+    """The tree flow missed gamma and no sweep cut met the bound."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -74,9 +73,9 @@ class FlowError(GraphError):
 class ConcurrentFlow:
     """Tree flow routing demand w(u) * w(v) for each ordered positive pair.
 
-    `trees` maps each positive source s to its routing tree, the (parent
+    `trees` maps each positive source s to its BFS tree, the (parent
     array, visit order) pair of `_tree_from`: pair (s, t) is served by the
-    single tree path from s to t at amount w(s) * w(t).  Paths are walked
+    single tree path `path(s, t)` at amount w(s) * w(t).  Paths are walked
     only when asked for, so a flow takes O(p * n) memory for p positive
     vertices instead of one stored path per ordered pair.  `trees` may
     build each tree on first access (see `_LazyBfsTrees`), so a flow whose
@@ -103,9 +102,10 @@ class ConcurrentFlow:
         for s in self.trees:
             for t in self.trees:
                 if t != s:
-                    yield s, t, self._tree_path(s, t), w[s] * w[t]
+                    yield s, t, self.path(s, t), w[s] * w[t]
 
-    def _tree_path(self, s: int, t: int) -> tuple[int, ...]:
+    def path(self, s: int, t: int) -> tuple[int, ...]:
+        """The tree path from source s to t, which carries w(s) * w(t)."""
         parent = self.trees[s][0]
         rev = [t]
         while rev[-1] != s:
@@ -128,12 +128,6 @@ class ConcurrentFlow:
 
     def max_congestion(self) -> float:
         return max(self.congestion_vector(), default=0.0)
-
-    def paths_between(self, u: int, v: int) -> list[tuple[tuple[int, ...], float]]:
-        if u == v or u not in self.trees or v not in self.trees:
-            return []
-        w = self.host.weights
-        return [(self._tree_path(u, v), w[u] * w[v])]
 
     def check(self) -> None:
         """Raise FlowError unless every path is valid and all demands are met.
@@ -158,46 +152,24 @@ class ConcurrentFlow:
 
 
 # ---------------------------------------------------------------------------
-# Flow search: shortest-path-tree routing
+# Flow search: the BFS-tree flow
 
 
-def _tree_from(g: WeightedGraph, src: int,
-               cost: Sequence[float] | None) -> tuple[list[int], list[int]]:
-    """Shortest-path tree (parent array, visit order) from src.
+def _tree_from(g: WeightedGraph, src: int) -> tuple[list[int], list[int]]:
+    """BFS tree (parent array, visit order) from src.
 
-    With `cost` given, path length is the sum of vertex costs including
-    both endpoints; otherwise plain hop count.  Deterministic tie-breaks.
+    Neighbours are visited in adjacency order, so the tree is deterministic.
     """
-    n = g.n
-    parent = [-1] * n
-    order: list[int] = []
-    if cost is None:
-        seen = [False] * n
-        seen[src] = True
-        order.append(src)
-        for u in order:  # the visit order is the FIFO queue itself
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-        return parent, order
-    dist = [math.inf] * n
-    dist[src] = cost[src]
-    done = [False] * n
-    heap: list[tuple[float, int]] = [(dist[src], src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        order.append(u)
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    seen[src] = True
+    order = [src]
+    for u in order:  # the visit order is the FIFO queue itself
         for v in g.adj[u]:
-            nd = d + cost[v]
-            if nd < dist[v]:
-                dist[v] = nd
+            if not seen[v]:
+                seen[v] = True
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                order.append(v)
     return parent, order
 
 
@@ -239,7 +211,7 @@ class _LazyBfsTrees(Mapping):
     def __getitem__(self, s: int) -> tuple[list[int], list[int]]:
         tree = self._trees[s]
         if tree is None:
-            tree = self._trees[s] = _tree_from(self._g, s, None)
+            tree = self._trees[s] = _tree_from(self._g, s)
         return tree
 
     def __contains__(self, s: object) -> bool:
@@ -255,26 +227,22 @@ class _LazyBfsTrees(Mapping):
 
 def _attempt_tree_flow(g: WeightedGraph, gamma: float,
                        positives: list[int]) -> ConcurrentFlow | None:
-    """Try to route all demands at congestion <= gamma on source trees."""
+    """The BFS-tree flow if its congestion is at most gamma, else None.
+
+    A None leaves the answer to the sweep: any cut within the bound is
+    valid, so no other routing is tried.  The congestion, once computed,
+    stays cached on the returned flow.
+    """
+    flow = ConcurrentFlow(g, _LazyBfsTrees(g, positives))
     pw = g.weight_of(positives)
-    if gamma >= pw * pw:
-        # The flow ceiling: a simple path carries each ordered demand at
-        # most once, so no vertex carries more than the sum over s != t of
-        # w(s) w(t) = W^2 - sum w^2 < W^2.  Round 1's plain BFS trees would
-        # pass its test below; the float error of its sums (about n 2^-53
-        # relative) lies far inside the slack sum w^2 / W^2 >= 1/p.  The
-        # same trees are returned, each built when first walked.
-        return ConcurrentFlow(g, _LazyBfsTrees(g, positives))
-    cost: list[float] | None = None
-    for _ in range(_TREE_ROUNDS):
-        trees = {s: _tree_from(g, s, cost) for s in positives}
-        cong = _tree_congestion(g, trees)
-        top = max(cong)
-        if top <= gamma * (1 + _REL_TOL):
-            return ConcurrentFlow(g, trees)
-        # reroute against the congested vertices next round
-        scale = max(top, 1e-300)
-        cost = [1.0 + (g.n * c) / scale for c in cong]
+    # At the flow ceiling W^2 the congestion test is skipped, so each tree
+    # is built only when first walked: a simple path carries each ordered
+    # demand at most once, so no vertex carries more than the sum over
+    # s != t of w(s) w(t) = W^2 - sum w^2 < W^2.  The test would pass; the
+    # float error of its sums (about n 2^-53 relative) lies far inside the
+    # slack sum w^2 / W^2 >= 1/p.
+    if gamma >= pw * pw or flow.max_congestion() <= gamma * (1 + _REL_TOL):
+        return flow
     return None
 
 
@@ -358,7 +326,6 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
 def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:
     sources = [max(positives, key=lambda v: (g.weights[v], -v)), 0]
     # farthest-point picks spread the region-growing starts out
-    from .graph import bfs_distances
     for _ in range(2):
         dist = bfs_distances(g, sources)
         finite = [(d, v) for v, d in enumerate(dist) if d < math.inf]
@@ -366,11 +333,7 @@ def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:
         if far in sources:
             break
         sources.append(far)
-    out: list[int] = []
-    for s in sources:
-        if s not in out:
-            out.append(s)
-    return out
+    return list(dict.fromkeys(sources))
 
 
 def _completed(g: WeightedGraph, order: list[int]) -> list[int]:
@@ -384,7 +347,7 @@ def _completed(g: WeightedGraph, order: list[int]) -> list[int]:
 def _cut_orders(g: WeightedGraph, positives: list[int]) -> list[list[int]]:
     orders: list[list[int]] = []
     for s in _bfs_sources(g, positives):
-        _, order = _tree_from(g, s, None)
+        _, order = _tree_from(g, s)
         orders.append(_completed(g, order))
     w = g.weights
     ids = list(range(g.n))
@@ -432,11 +395,11 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     """Concurrent flow at congestion <= gamma, or a sparse separation.
 
     A returned separation has sparsity at most CUT_CONSTANT * ln(n) / gamma.
-    The steps are those of the module docstring: the window, tree routing,
-    then the sweep for the cut.  Raises FlowCutError when the routing misses
-    gamma and no sweep cut meets the bound.  Below the endpoint bound that
-    cannot happen (see the comment before the sweep); inside the window
-    both searches are heuristics, so it can.
+    The steps are those of the module docstring: the window, the BFS-tree
+    flow, then the sweep for the cut.  Raises FlowCutError when the tree
+    flow misses gamma and no sweep cut meets the bound.  Below the endpoint
+    bound that cannot happen (see the comment before the sweep); inside the
+    window both searches are heuristics, so it can.
     """
     if not math.isfinite(gamma) or gamma <= 0:
         raise GraphError(f"gamma must be positive and finite, got {gamma}")
@@ -462,7 +425,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # succeeds: the weight-ascending order's last prefix cuts off a heaviest
     # vertex t at sparsity 1 / (W w(t)), while gamma < endpoint_lb <=
     # 2 w(t) W makes the bound exceed 32 ln(n) / (W w(t)).  Inside the
-    # window it runs only after the routing failed.
+    # window it runs only after the tree flow missed gamma.
     sep = _best_sweep_separation(g, positives)
     if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
@@ -480,11 +443,14 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
 
 @dataclass(frozen=True)
 class BalancedSeparatorResult:
-    """Union of peeled separators; every component of G - S weighs <= W/2."""
+    """Union of peeled separators; every component of G - S weighs <= W/2.
+
+    `steps` holds the sparsity of each peeled separation, in peel order.
+    """
 
     separator: frozenset[int]
     pieces: tuple[tuple[int, ...], ...]
-    steps: tuple[Separation, ...]
+    steps: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -493,13 +459,14 @@ class HeavyFlowResult:
 
     `vertices` lists the subgraph's original vertex ids; the flow's host is
     the induced subgraph with local ids `0..len(vertices)-1`.  `separator`
-    collects the peeled separators and is disjoint from `vertices`.
+    collects the peeled separators and is disjoint from `vertices`, and
+    `steps` the sparsity of each peeled separation.
     """
 
     vertices: tuple[int, ...]
     flow: ConcurrentFlow
     separator: frozenset[int]
-    steps: tuple[Separation, ...]
+    steps: tuple[float, ...]
 
 
 def _peel(g: WeightedGraph,
@@ -520,7 +487,7 @@ def _peel(g: WeightedGraph,
     active = list(range(g.n))
     sep_acc: set[int] = set()
     pieces: list[list[int]] = []
-    steps: list[Separation] = []
+    steps: list[float] = []
     while g.weight_of(active) >= total / 2.0:
         sub, ids = induced_subgraph(g, active)
         res = step(sub)
@@ -535,8 +502,7 @@ def _peel(g: WeightedGraph,
             side_a, side_b = side_b, side_a
         a_set = set(side_a)
         b_set = set(side_b)
-        steps.append(Separation(frozenset(a_set), frozenset(b_set),
-                                res.sparsity))
+        steps.append(res.sparsity)
         sep_acc.update(a_set & b_set)
         pieces.append(sorted(b_set - a_set))
         # make_separation gave both sides positive weight, so B is nonempty

@@ -76,8 +76,8 @@ def test_triangle_flow():
 
 def test_cycle4_at_seven_gives_a_cut_within_the_bound():
     # a flow at congestion 7 exists, but only by splitting the antipodal
-    # demands across both sides; every routing round's trees peak at 8, so
-    # the sweep answers, and any cut within the bound is a valid answer
+    # demands across both sides; the BFS trees peak at 8, so the sweep
+    # answers, and any cut within the bound is a valid answer
     g = cycle_graph(4)
     res = flow_or_sparse_cut(g, 7.0)
     assert isinstance(res, Separation)
@@ -87,7 +87,7 @@ def test_cycle4_at_seven_gives_a_cut_within_the_bound():
 
 def test_small_demands_inside_the_window_still_get_a_cut():
     # Weights spread over five orders of magnitude: the demand of (9, 2) is
-    # about 1e-9 of W^2.  The routing fails at this gamma, and the sweep's
+    # about 1e-9 of W^2.  The tree flow misses this gamma, and the sweep's
     # cut is far inside the bound.
     w = [196, 0.13, 0.00421, 2.47, 15.9, 55.7, 0.301, 1.09, 200, 0.0255,
          0.00713, 0.0143, 0.978, 45.7, 138]
@@ -152,11 +152,12 @@ def test_weighted_demands_meet_product():
     res = flow_or_sparse_cut(g, 1e6)
     assert isinstance(res, ConcurrentFlow)
     res.check()
-    assert math.fsum(a for _, a in res.paths_between(0, 2)) == pytest.approx(6.0)
+    assert res.path(0, 2) == (0, 1, 2)
+    assert [a for s, t, _, a in res.routed() if (s, t) == (0, 2)] == [6.0]
 
 
 def _reference_tree_flow(g, trees):
-    """Every path of a tree flow written out, and its congestion."""
+    """Every path of a tree flow with its amount, and the congestion."""
     w = g.weights
     paths = {}
     cong = [0.0] * g.n
@@ -168,36 +169,43 @@ def _reference_tree_flow(g, trees):
             while rev[-1] != s:
                 rev.append(parent[rev[-1]])
             verts = tuple(reversed(rev))
-            paths[(s, t)] = [(verts, w[s] * w[t])]
+            paths[(s, t)] = (verts, w[s] * w[t])
             for v in verts:
                 cong[v] += w[s] * w[t]
     return paths, cong
 
 
 def test_tree_flow_walks_the_paths_of_its_parent_arrays():
-    # vertex 3 weighs nothing but is the only way into vertex 1; plain BFS
-    # trees peak at congestion 0.78, so gamma 0.72 needs a rerouted round.
-    # Weights in tenths are inexact in binary: the congestion vector is one
-    # subtree-sum pass over the trees, equal to `_tree_congestion` exactly
-    # and to the path-by-path sum up to rounding.
+    # vertex 3 weighs nothing but is the only way into vertex 1; the BFS
+    # trees peak at congestion 0.78.  Below that peak the sweep answers
+    # with a cut within the bound, though a rerouted flow would fit 0.72;
+    # at the peak the BFS-tree flow itself comes back.  Weights in tenths
+    # are inexact in binary: the congestion vector is one subtree-sum pass
+    # over the trees, equal to `_tree_congestion` exactly and to the
+    # path-by-path sum up to rounding.
     g = WeightedGraph(7, [(0, 3), (0, 4), (1, 3), (2, 3), (2, 4), (2, 5),
                           (4, 5), (4, 6), (5, 6)],
                       [0.1, 0.2, 0.3, 0.0, 0.2, 0.1, 0.3])
     positives = [0, 1, 2, 4, 5, 6]
-    bfs = {s: _tree_from(g, s, None) for s in positives}
+    bfs = {s: _tree_from(g, s) for s in positives}
     bfs_peak = max(_tree_congestion(g, bfs))
     assert bfs_peak == pytest.approx(0.78)
-    res = flow_or_sparse_cut(g, 0.72)
+    cut = flow_or_sparse_cut(g, 0.72)
+    assert isinstance(cut, Separation)
+    assert make_separation(g, cut.side_a, cut.side_b).sparsity == cut.sparsity
+    assert cut.sparsity <= 64.0 * math.log(7) / 0.72
+    res = flow_or_sparse_cut(g, 0.78)
     assert isinstance(res, ConcurrentFlow)
     assert list(res.trees) == positives
-    assert res.trees != bfs
+    assert res.trees == bfs
     ref_paths, ref_cong = _reference_tree_flow(g, res.trees)
-    for u in range(g.n):
-        for v in range(g.n):
-            assert res.paths_between(u, v) == ref_paths.get((u, v), [])
+    for (s, t), (verts, _) in ref_paths.items():
+        assert res.path(s, t) == verts
+    assert list(res.routed()) == [(s, t, verts, amount) for (s, t), (
+        verts, amount) in ref_paths.items()]
     assert res.congestion_vector() == _tree_congestion(g, res.trees)
     assert res.congestion_vector() == pytest.approx(ref_cong, rel=1e-12)
-    assert res.max_congestion() <= 0.72
+    assert res.max_congestion() == bfs_peak
     assert res.path_count == 30
     res.check()
 
@@ -234,13 +242,13 @@ def test_flow_ceiling_builds_a_tree_only_when_its_paths_are_walked(
     assert res.path_count == 36 * 35
     assert 7 in res.trees and 36 not in res.trees
     assert built() == []
-    [(verts, amount)] = res.paths_between(0, 35)
-    assert (verts[0], verts[-1], amount) == (0, 35, 1.0 * 3.0)
+    verts = res.path(0, 35)
+    assert (verts[0], verts[-1]) == (0, 35)
     assert built() == [0]
-    res.paths_between(0, 20)
+    res.path(0, 20)
     assert res.trees[0] is res.trees[0]
     assert built() == [0]
-    res.paths_between(35, 0)
+    res.path(35, 0)
     assert built() == [0, 35]
 
 
@@ -251,14 +259,14 @@ def test_flow_ceiling_builds_a_tree_only_when_its_paths_are_walked(
     barbell_graph(8, 5).with_weights([0.3] * 21),
 ])
 def test_flow_ceiling_walks_the_paths_of_eager_bfs_trees(g):
-    # the trees round 1 of the routing built, and whose congestion it
-    # checked against gamma, before the ceiling skipped that round
+    # the BFS trees built up front, whose congestion the window checks
+    # against gamma and the ceiling does not
     w = g.weights
     positives = [v for v in range(g.n) if w[v] > 0]
     gamma = g.total_weight ** 2
     res = flow_or_sparse_cut(g, gamma)
     assert isinstance(res, ConcurrentFlow)
-    bfs = {s: _tree_from(g, s, None) for s in positives}
+    bfs = {s: _tree_from(g, s) for s in positives}
     assert max(_tree_congestion(g, bfs)) <= gamma
     eager = ConcurrentFlow(g, bfs)
     assert list(res.trees) == positives
@@ -313,6 +321,9 @@ def test_in_window_answers_are_sound(g, u):
     gamma = endpoint_lb * (total * total / endpoint_lb) ** u
     res = flow_or_sparse_cut(g, gamma)
     if isinstance(res, ConcurrentFlow):
+        # the one flow the window returns: the BFS trees of the positives
+        assert list(res.trees) == [v for v in range(g.n) if g.weights[v] > 0]
+        assert all(res.trees[s] == _tree_from(g, s) for s in res.trees)
         res.check()
         assert res.max_congestion() <= gamma * (1 + 1e-9)
     else:
@@ -455,9 +466,9 @@ def test_flow_or_sparse_cut_outputs_match_golden_digest():
                 record = ("flow", list(res.routed()), res.congestion_vector())
             kinds.append(record[0])
             digest.update(repr(record).encode())
-    assert (kinds.count("flow"), kinds.count("cut")) == (50, 130)
+    assert (kinds.count("flow"), kinds.count("cut")) == (46, 134)
     assert digest.hexdigest() == (
-        "c9991997e516003363ea78b8420d328d1d0816435e98b4a374edb3fa9401acf7")
+        "ab60051499dc558936ade0f4a0342ca7e71200986f6c88395732b59425ace950")
 
 
 def _recording(monkeypatch, name):

@@ -38,6 +38,7 @@ from coarsesep.generators import (
     path_graph,
     random_regular_graph,
 )
+import coarsesep.flow as flow_module
 from coarsesep.flow import balanced_separator_by_sweeps
 from coarsesep.pipeline import _default_quotient_oracle
 
@@ -205,6 +206,30 @@ def test_override_heavy_clusters_join_separator():
     report = verify_separator(g, res.certificate.separator,
                               res.certificate.centers, res.certificate.radius)
     assert report.ok
+
+
+def test_override_rounds_an_in_window_flow_into_model(monkeypatch):
+    # At 0.64 W^2 the quotient (266 clusters) lies inside the window, below
+    # its own W^2, and its BFS-tree flow fits gamma: rounding runs on a flow
+    # that passed the congestion test, not on an unchecked ceiling flow.
+    original = flow_module._attempt_tree_flow
+    window_flows = []
+
+    def recording(g, gamma, positives):
+        res = original(g, gamma, positives)
+        pw = g.weight_of(positives)
+        window_flows.append(res is not None and gamma < pw * pw)
+        return res
+
+    monkeypatch.setattr(flow_module, "_attempt_tree_flow", recording)
+    g = path_graph(1303)
+    cfg = PipelineConfig(eps=1.0, trials=8, seed=0,
+                         congestion_override=0.64 * g.total_weight ** 2)
+    res = coarse_separator_or_model(g, K2, 1, cfg)
+    assert window_flows == [True]
+    assert isinstance(res, ModelFound)
+    assert res.branch == "rounding"
+    assert verify_fat_model(g, K2, res.model, 1).ok
 
 
 def test_rounded_models_match_golden_digest():
