@@ -21,7 +21,7 @@ from . import generators
 from .fatminor import PatternGraph, verify_fat_model
 from .fileio import (FormatError, format_graph, read_graph, read_model,
                      read_pattern, read_separator_result, read_weights,
-                     result_jsonable, separator_jsonable)
+                     model_jsonable, result_jsonable, separator_jsonable)
 from .flow import ConcurrentFlow, FlowCutError, flow_or_sparse_cut
 from .graph import GraphError, WeightedGraph, verify_certificate
 from .oracle import (brute_force_fat_minor, exact_min_balanced_separator,
@@ -194,7 +194,7 @@ def _cmd_oracle(args) -> int:
         if model is None:
             _emit(args, {"exists": False}, "no model exists")
             return 2
-        _emit(args, {"exists": True, "model": model.to_jsonable()},
+        _emit(args, {"exists": True, "model": model_jsonable(model)},
               f"model exists at fatness {args.fatness}")
         return 0
     if args.kind == "sparsest":

@@ -192,31 +192,6 @@ class FatModel:
         out.extend((f"edge {e}", s) for e, s in sorted(self.edge_sets.items()))
         return out
 
-    def to_jsonable(self) -> dict:
-        return {
-            "fatness": self.fatness,
-            "vertex_sets": {str(u): sorted(s)
-                            for u, s in sorted(self.vertex_sets.items())},
-            "edge_sets": {f"{u}-{v}": sorted(s)
-                          for (u, v), s in sorted(self.edge_sets.items())},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FatModel":
-        if not isinstance(data, dict):
-            raise GraphError("malformed model data: not a JSON object")
-        try:
-            fatness = int(data["fatness"])
-            vsets = {int(k): frozenset(map(int, vs))
-                     for k, vs in data["vertex_sets"].items()}
-            esets = {}
-            for key, vs in data["edge_sets"].items():
-                a, b = key.split("-")
-                esets[(int(a), int(b))] = frozenset(map(int, vs))
-        except (KeyError, ValueError, AttributeError, TypeError) as exc:
-            raise GraphError(f"malformed model data: {exc}") from exc
-        return cls(fatness, vsets, esets)
-
 
 @dataclass(frozen=True)
 class CrudeFatModel:

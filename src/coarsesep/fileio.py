@@ -5,6 +5,8 @@ edge lines ``u v`` (0-based endpoints).  Blank lines are ignored; anything
 else is rejected with the offending line number.  Patterns reuse the graph
 format.  Weight files carry one ``vertex weight`` line per vertex.  Models
 and results are JSON; `read_model` also reads a `separate` model result.
+Their vertex ids, radius and fatness must be JSON integers, and anything
+else is rejected with a FormatError that names the key.
 """
 
 from __future__ import annotations
@@ -142,23 +144,81 @@ def write_weights(weights: list[float], path: str) -> None:
             fh.write(f"{v} {w!r}\n")
 
 
-def read_model(path: str) -> FatModel:
+_JSON_KINDS = {int: "integer", list: "array", dict: "object"}
+
+
+def _checked(value: object, kind: type, label: str):
+    # bool is an int subclass, and a float such as 1.7 or 1e400 is no vertex
+    if type(value) is not kind:
+        raise FormatError(
+            f"{label} must be a JSON {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _id_list(value: object, label: str) -> list[int]:
+    return [_checked(v, int, f"{label} entry")
+            for v in _checked(value, list, label)]
+
+
+def _key_ids(key: str, count: int, label: str) -> tuple[int, ...]:
+    """The vertex ids of an object key: one ('3') or, for an edge, two."""
+    parts = key.split("-")
+    if len(parts) != count or not all(p.isascii() and p.isdigit()
+                                      for p in parts):
+        want = "a vertex id" if count == 1 else "an edge 'u-v'"
+        raise FormatError(f"{label} key {key!r:.40} is not {want}")
+    return tuple(map(int, parts))
+
+
+def model_jsonable(model: FatModel) -> dict:
+    return {
+        "fatness": model.fatness,
+        "vertex_sets": {str(u): sorted(s)
+                        for u, s in sorted(model.vertex_sets.items())},
+        "edge_sets": {f"{u}-{v}": sorted(s)
+                      for (u, v), s in sorted(model.edge_sets.items())},
+    }
+
+
+def model_from_jsonable(data: object) -> FatModel:
+    """The model `model_jsonable` wrote; FormatError names a malformed key."""
+    if not isinstance(data, dict):
+        raise FormatError("model data is not a JSON object")
+    vertex_sets = _checked(data.get("vertex_sets"), dict, "'vertex_sets'")
+    edge_sets = _checked(data.get("edge_sets"), dict, "'edge_sets'")
+    return FatModel(
+        _checked(data.get("fatness"), int, "'fatness'"),
+        {_key_ids(k, 1, "'vertex_sets'")[0]: frozenset(
+            _id_list(vs, f"'vertex_sets' {k!r:.40}"))
+         for k, vs in vertex_sets.items()},
+        {_key_ids(k, 2, "'edge_sets'"): frozenset(
+            _id_list(vs, f"'edge_sets' {k!r:.40}"))
+         for k, vs in edge_sets.items()})
+
+
+def _read_json(path: str, what: str) -> object:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"model file is not valid JSON: {exc}") from exc
+            return json.load(fh)
+        # a JSONDecodeError or UnicodeDecodeError, or nesting deeper than
+        # the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def read_model(path: str) -> FatModel:
+    data = _read_json(path, "model")
     if isinstance(data, dict) and "result" in data:
         # a result file written by `separate`
         if data["result"] != "model":
             raise FormatError("result file does not hold a model result")
         data = data.get("model")
-    return FatModel.from_jsonable(data)
+    return model_from_jsonable(data)
 
 
 def write_model(model: FatModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_jsonable(), fh, indent=2, sort_keys=True)
+        json.dump(model_jsonable(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -174,7 +234,7 @@ def separator_jsonable(cert: SeparatorCertificate) -> dict:
 def result_jsonable(res: PipelineResult) -> dict:
     """The JSON result of a pipeline run, as `separate` prints and writes it."""
     if isinstance(res, ModelFound):
-        return {"result": "model", "model": res.model.to_jsonable()}
+        return {"result": "model", "model": model_jsonable(res.model)}
     if isinstance(res, PipelineFailure):
         return {
             "result": "failure",
@@ -188,17 +248,10 @@ def result_jsonable(res: PipelineResult) -> dict:
 
 
 def read_separator_result(path: str) -> SeparatorCertificate:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"result file is not valid JSON: {exc}") from exc
+    data = _read_json(path, "result")
     if not isinstance(data, dict) or data.get("result") != "separator":
         raise FormatError("result file does not hold a separator result")
-    try:
-        sep = frozenset(int(v) for v in data["S"])
-        centers = tuple(int(v) for v in data["centers"])
-        radius = int(data["radius"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed separator result: {exc}") from exc
-    return SeparatorCertificate(sep, centers, radius)
+    return SeparatorCertificate(
+        frozenset(_id_list(data.get("S"), "'S'")),
+        tuple(_id_list(data.get("centers"), "'centers'")),
+        _checked(data.get("radius"), int, "'radius'"))

@@ -24,9 +24,11 @@ not look for the better one.  It tries, in order:
 Each cut candidate is recomputed from scratch before it is used, so a
 returned object always satisfies its side of the dichotomy.
 
-A flow is stored as one BFS tree per positive source: its p(p-1) paths
+A flow is fixed by its host: `ConcurrentFlow(host)` routes each ordered
+pair of positive vertices along the source's BFS tree.  Its p(p-1) paths
 (p positive vertices) are walked on demand, never written out, and each
-tree is built on first access.
+tree is built on first use.  The sweep and the flow read everything else
+they need, the total weight W and the heaviest vertex, from the host too.
 
 One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
@@ -71,26 +73,34 @@ class FlowError(GraphError):
 
 
 class ConcurrentFlow:
-    """Tree flow routing demand w(u) * w(v) for each ordered positive pair.
+    """The BFS-tree flow of `host`: demand w(u) * w(v) per ordered pair.
 
-    `trees` maps each positive source s to its BFS tree, the (parent
-    array, visit order) pair of `_tree_from`: pair (s, t) is served by the
-    single tree path `path(s, t)` at amount w(s) * w(t).  Paths are walked
-    only when asked for, so a flow takes O(p * n) memory for p positive
-    vertices instead of one stored path per ordered pair.  `trees` may
-    build each tree on first access (see `_LazyBfsTrees`), so a flow whose
-    paths are looked up for a few sources builds only their trees.  The
-    empty flow, for hosts with fewer than two positive vertices, has no
-    trees.  Congestion at a vertex is the total amount over all paths
+    The sources are the positive-weight vertices of `host` in id order, and
+    they must share one component.  Pair (s, t) is served by the single
+    path `path(s, t)` in the BFS tree of s at amount w(s) * w(t).  Each
+    tree, the (parent array, visit order) pair of `_tree_from`, is built by
+    `tree(s)` on first use and then cached, so a flow whose paths are
+    looked up for a few sources builds only their trees, and a flow takes
+    O(p * n) memory for p sources instead of one stored path per ordered
+    pair.  A host with fewer than two positive vertices gives the empty
+    flow.  Congestion at a vertex is the total amount over all paths
     containing it, endpoints included; it is computed on first use, in one
     pass over the trees.
     """
 
-    def __init__(self, host: WeightedGraph,
-                 trees: Mapping[int, tuple[list[int], list[int]]]):
+    def __init__(self, host: WeightedGraph):
         self.host = host
-        self.trees = trees
+        w = host.weights
+        self._trees: dict[int, tuple[list[int], list[int]] | None] = (
+            dict.fromkeys(v for v in range(host.n) if w[v] > 0))
         self._congestion: list[float] | None = None
+
+    def tree(self, s: int) -> tuple[list[int], list[int]]:
+        """The BFS tree (parent array, visit order) of source s."""
+        tree = self._trees[s]
+        if tree is None:
+            tree = self._trees[s] = _tree_from(self.host, s)
+        return tree
 
     def routed(self) -> Iterator[tuple[int, int, tuple[int, ...], float]]:
         """Every path as (source, target, vertices, amount), in fixed order.
@@ -99,14 +109,14 @@ class ConcurrentFlow:
         nothing is kept between calls.
         """
         w = self.host.weights
-        for s in self.trees:
-            for t in self.trees:
+        for s in self._trees:
+            for t in self._trees:
                 if t != s:
                     yield s, t, self.path(s, t), w[s] * w[t]
 
     def path(self, s: int, t: int) -> tuple[int, ...]:
         """The tree path from source s to t, which carries w(s) * w(t)."""
-        parent = self.trees[s][0]
+        parent = self.tree(s)[0]
         rev = [t]
         while rev[-1] != s:
             x = parent[rev[-1]]
@@ -118,37 +128,31 @@ class ConcurrentFlow:
 
     @property
     def path_count(self) -> int:
-        p = len(self.trees)
+        p = len(self._trees)
         return p * (p - 1)
 
     def congestion_vector(self) -> list[float]:
         if self._congestion is None:
-            self._congestion = _tree_congestion(self.host, self.trees)
+            self._congestion = _tree_congestion(
+                self.host, {s: self.tree(s) for s in self._trees})
         return self._congestion
 
     def max_congestion(self) -> float:
         return max(self.congestion_vector(), default=0.0)
 
     def check(self) -> None:
-        """Raise FlowError unless every path is valid and all demands are met.
+        """Raise FlowError unless every path is a walk along edges.
 
         Every tree path is walked here.  A walk that reaches its source
-        cannot repeat a vertex, and each path carries its full demand, so
-        what is left to check is that each step is an edge and that every
-        positive vertex has a tree.
+        cannot repeat a vertex, each path carries its full demand, and every
+        positive vertex is a source, so what is left to check is that each
+        step is an edge.
         """
         g = self.host
         for _, _, verts, _ in self.routed():
             for a, b in zip(verts, verts[1:]):
                 if not g.has_edge(a, b):
                     raise FlowError(f"path step ({a}, {b}) is not an edge")
-        w = g.weights
-        positives = [v for v in range(g.n) if w[v] > 0]
-        for u in positives:
-            for v in positives:
-                if u != v and not (u in self.trees and v in self.trees):
-                    raise FlowError(
-                        f"demand ({u}, {v}): routed 0.0, want {w[u] * w[v]}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,52 +200,24 @@ def _tree_congestion(g: WeightedGraph,
     return cong
 
 
-class _LazyBfsTrees(Mapping):
-    """The BFS trees from `sources`, each built on first access.
-
-    Keys are the sources in their given order.  A built tree is cached,
-    so every later access returns the same (parent, order) pair.
-    """
-
-    def __init__(self, g: WeightedGraph, sources: list[int]):
-        self._g = g
-        self._trees: dict[int, tuple[list[int], list[int]] | None] = (
-            dict.fromkeys(sources))
-
-    def __getitem__(self, s: int) -> tuple[list[int], list[int]]:
-        tree = self._trees[s]
-        if tree is None:
-            tree = self._trees[s] = _tree_from(self._g, s)
-        return tree
-
-    def __contains__(self, s: object) -> bool:
-        # Mapping's default would look the key up, building its tree
-        return s in self._trees
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._trees)
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-
-def _attempt_tree_flow(g: WeightedGraph, gamma: float,
-                       positives: list[int]) -> ConcurrentFlow | None:
+def _attempt_tree_flow(g: WeightedGraph, gamma: float
+                       ) -> ConcurrentFlow | None:
     """The BFS-tree flow if its congestion is at most gamma, else None.
 
     A None leaves the answer to the sweep: any cut within the bound is
     valid, so no other routing is tried.  The congestion, once computed,
     stays cached on the returned flow.
     """
-    flow = ConcurrentFlow(g, _LazyBfsTrees(g, positives))
-    pw = g.weight_of(positives)
+    flow = ConcurrentFlow(g)
+    total = g.total_weight
     # At the flow ceiling W^2 the congestion test is skipped, so each tree
     # is built only when first walked: a simple path carries each ordered
     # demand at most once, so no vertex carries more than the sum over
     # s != t of w(s) w(t) = W^2 - sum w^2 < W^2.  The test would pass; the
     # float error of its sums (about n 2^-53 relative) lies far inside the
     # slack sum w^2 / W^2 >= 1/p.
-    if gamma >= pw * pw or flow.max_congestion() <= gamma * (1 + _REL_TOL):
+    if gamma >= total * total or (
+            flow.max_congestion() <= gamma * (1 + _REL_TOL)):
         return flow
     return None
 
@@ -259,13 +235,19 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float
     """
     w = g.weights
     adj = g.adj
+    # A prefix through the order's last positive vertex leaves B no weight,
+    # though the drifting sum w_u may fall short of total and read it as
+    # positive: the sweep stops before that vertex.
+    last = len(order) - 1
+    while last >= 0 and not w[order[last]] > 0:
+        last -= 1
     state = [0] * g.n  # 0 outside, 1 in the boundary S, 2 in the prefix U
     w_u = 0.0
     w_s = 0.0
     s_count = 0
     best_alpha = math.inf
     best_len = 0
-    for length, v in enumerate(order[:-1], 1):
+    for length, v in enumerate(order[:max(last, 0)], 1):
         if state[v] == 1:
             w_s -= w[v]
             s_count -= 1
@@ -323,8 +305,9 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
     return sorted(range(g.n), key=vec.__getitem__)
 
 
-def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:
-    sources = [max(positives, key=lambda v: (g.weights[v], -v)), 0]
+def _bfs_sources(g: WeightedGraph) -> list[int]:
+    # a heaviest vertex is positive, so it lies with the other positives
+    sources = [max(range(g.n), key=lambda v: (g.weights[v], -v)), 0]
     # farthest-point picks spread the region-growing starts out
     for _ in range(2):
         dist = bfs_distances(g, sources)
@@ -336,19 +319,12 @@ def _bfs_sources(g: WeightedGraph, positives: list[int]) -> list[int]:
     return list(dict.fromkeys(sources))
 
 
-def _completed(g: WeightedGraph, order: list[int]) -> list[int]:
-    """`order` followed by the vertices it misses (disconnected host)."""
-    if len(order) == g.n:
-        return order
-    seen = set(order)
-    return order + [v for v in range(g.n) if v not in seen]
-
-
-def _cut_orders(g: WeightedGraph, positives: list[int]) -> list[list[int]]:
-    orders: list[list[int]] = []
-    for s in _bfs_sources(g, positives):
-        _, order = _tree_from(g, s)
-        orders.append(_completed(g, order))
+def _cut_orders(g: WeightedGraph) -> list[list[int]]:
+    # A BFS order covers its source's component only.  Where that component
+    # holds the positives, the sweep would stop before any vertex appended
+    # to it; vertex 0's component may hold no positive weight, and then its
+    # order gives no cut.
+    orders = [_tree_from(g, s)[1] for s in _bfs_sources(g)]
     w = g.weights
     ids = list(range(g.n))
     orders.append(sorted(ids, key=lambda v: (w[v], v)))
@@ -360,12 +336,11 @@ def _cut_orders(g: WeightedGraph, positives: list[int]) -> list[list[int]]:
     return orders
 
 
-def _best_sweep_separation(g: WeightedGraph, positives: list[int]
-                           ) -> Separation | None:
+def _best_sweep_separation(g: WeightedGraph) -> Separation | None:
     """Sparsest prefix cut over all orders; None when no order has one."""
     total = g.total_weight
     best: tuple[float, list[int], int] | None = None
-    for order in _cut_orders(g, positives):
+    for order in _cut_orders(g):
         hit = _sweep_order(g, order, total)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], order, hit[1])
@@ -404,9 +379,8 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     if not math.isfinite(gamma) or gamma <= 0:
         raise GraphError(f"gamma must be positive and finite, got {gamma}")
     w = g.weights
-    positives = [v for v in range(g.n) if w[v] > 0]
-    if len(positives) < 2:
-        return ConcurrentFlow(g, {})
+    if sum(x > 0 for x in w) < 2:
+        return ConcurrentFlow(g)
     bound = CUT_CONSTANT * math.log(max(g.n, 2)) / gamma
 
     split = _component_split(g)
@@ -414,10 +388,11 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
         # demands across components make any flow infeasible
         return split
 
-    pw = g.weight_of(positives)
-    endpoint_lb = max(2.0 * w[v] * (pw - w[v]) for v in positives)
+    total = g.total_weight
+    # a zero weight's term is 0.0, so this is the maximum over the positives
+    endpoint_lb = max(2.0 * x * (total - x) for x in w)
     if gamma * (1 + _REL_TOL) >= endpoint_lb:
-        flow = _attempt_tree_flow(g, gamma, positives)
+        flow = _attempt_tree_flow(g, gamma)
         if flow is not None:
             return flow
 
@@ -426,7 +401,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # vertex t at sparsity 1 / (W w(t)), while gamma < endpoint_lb <=
     # 2 w(t) W makes the bound exceed 32 ln(n) / (W w(t)).  Inside the
     # window it runs only after the tree flow missed gamma.
-    sep = _best_sweep_separation(g, positives)
+    sep = _best_sweep_separation(g)
     if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
 
@@ -552,7 +527,7 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     # the positives share a component, so a heaviest vertex t has a
     # neighbour, and the weight-ascending order's last prefix V - t is a
     # valid cut: the sweep never comes back empty here
-    return _best_sweep_separation(g, positives)
+    return _best_sweep_separation(g)
 
 
 def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:

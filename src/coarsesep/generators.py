@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, connected_components
+
+# pairing-model draws before `random_regular_graph` gives up
+_REGULAR_ATTEMPTS = 1000
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -64,15 +67,14 @@ def gnp_graph(n: int, p: float, seed: int = 0) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
-def random_regular_graph(n: int, degree: int, seed: int = 0,
-                         attempts: int = 1000) -> WeightedGraph:
+def random_regular_graph(n: int, degree: int, seed: int = 0) -> WeightedGraph:
     """Connected d-regular graph via the pairing model; resamples on clash."""
     if degree < 1 or degree >= n:
         raise GraphError("degree must lie in [1, n)")
     if n * degree % 2 == 1:
         raise GraphError("n * degree must be even")
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(_REGULAR_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(degree)]
         rng.shuffle(stubs)
         edges = set()
@@ -87,19 +89,11 @@ def random_regular_graph(n: int, degree: int, seed: int = 0,
             continue
         g = WeightedGraph(n, sorted(edges))
         # insist on connectivity so downstream demands are routable
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) == n:
+        if len(connected_components(g)) == 1:
             return g
     raise GraphError(
         f"no simple connected {degree}-regular graph found in "
-        f"{attempts} attempts")
+        f"{_REGULAR_ATTEMPTS} attempts")
 
 
 def barbell_graph(k: int, bridge: int = 0) -> WeightedGraph:

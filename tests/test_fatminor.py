@@ -24,6 +24,7 @@ from coarsesep import (
     verify_crude_model,
     verify_fat_model,
 )
+from coarsesep.fileio import model_from_jsonable, model_jsonable
 from coarsesep.generators import cycle_graph, path_graph
 
 K2 = PatternGraph(2, [(0, 1)])
@@ -249,7 +250,7 @@ def test_restrict_model_drops_augmented_edges():
 
 def test_model_json_round_trip():
     model = c12_triangle_model()
-    again = FatModel.from_jsonable(model.to_jsonable())
+    again = model_from_jsonable(model_jsonable(model))
     assert again == model
 
 

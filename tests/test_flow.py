@@ -19,6 +19,7 @@ from coarsesep import (
     flow_or_sparse_cut,
     induced_minor_separator,
     make_separation,
+    verify_certificate,
 )
 from coarsesep.generators import (
     barbell_graph,
@@ -29,8 +30,8 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import (_cut_orders, _fiedler_order, _sweep_order,
-                            _tree_congestion, _tree_from)
+from coarsesep.flow import (_fiedler_order, _sweep_order, _tree_congestion,
+                            _tree_from)
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -196,14 +197,14 @@ def test_tree_flow_walks_the_paths_of_its_parent_arrays():
     assert cut.sparsity <= 64.0 * math.log(7) / 0.72
     res = flow_or_sparse_cut(g, 0.78)
     assert isinstance(res, ConcurrentFlow)
-    assert list(res.trees) == positives
-    assert res.trees == bfs
-    ref_paths, ref_cong = _reference_tree_flow(g, res.trees)
+    assert all(res.tree(s) == bfs[s] for s in positives)
+    ref_paths, ref_cong = _reference_tree_flow(g, bfs)
     for (s, t), (verts, _) in ref_paths.items():
         assert res.path(s, t) == verts
+    # the sources are the positives, in id order
     assert list(res.routed()) == [(s, t, verts, amount) for (s, t), (
         verts, amount) in ref_paths.items()]
-    assert res.congestion_vector() == _tree_congestion(g, res.trees)
+    assert res.congestion_vector() == _tree_congestion(g, bfs)
     assert res.congestion_vector() == pytest.approx(ref_cong, rel=1e-12)
     assert res.max_congestion() == bfs_peak
     assert res.path_count == 30
@@ -214,10 +215,7 @@ def test_check_walks_every_tree_path():
     res = flow_or_sparse_cut(path_graph(5), 1e6)
     assert isinstance(res, ConcurrentFlow)
     res.check()
-    partial = ConcurrentFlow(res.host, {s: res.trees[s] for s in range(4)})
-    with pytest.raises(FlowError, match=r"demand \(0, 4\)"):
-        partial.check()  # vertex 4 has no tree, so nothing reaches it
-    parent = res.trees[0][0]
+    parent = res.tree(0)[0]
     parent[4] = 2  # source 0's path to 4 now steps 2 -> 4
     with pytest.raises(FlowError, match="not an edge"):
         res.check()
@@ -240,13 +238,12 @@ def test_flow_ceiling_builds_a_tree_only_when_its_paths_are_walked(
     res = flow_or_sparse_cut(g, g.total_weight ** 2)
     assert isinstance(res, ConcurrentFlow)
     assert res.path_count == 36 * 35
-    assert 7 in res.trees and 36 not in res.trees
     assert built() == []
     verts = res.path(0, 35)
     assert (verts[0], verts[-1]) == (0, 35)
     assert built() == [0]
     res.path(0, 20)
-    assert res.trees[0] is res.trees[0]
+    assert res.tree(0) is res.tree(0)
     assert built() == [0]
     res.path(35, 0)
     assert built() == [0, 35]
@@ -268,12 +265,12 @@ def test_flow_ceiling_walks_the_paths_of_eager_bfs_trees(g):
     assert isinstance(res, ConcurrentFlow)
     bfs = {s: _tree_from(g, s) for s in positives}
     assert max(_tree_congestion(g, bfs)) <= gamma
-    eager = ConcurrentFlow(g, bfs)
-    assert list(res.trees) == positives
-    assert list(res.routed()) == list(eager.routed())
-    assert res.congestion_vector() == eager.congestion_vector()
-    assert res.path_count == eager.path_count
-    assert res.trees == eager.trees
+    ref_paths, _ = _reference_tree_flow(g, bfs)
+    assert list(res.routed()) == [(s, t, verts, amount) for (s, t), (
+        verts, amount) in ref_paths.items()]
+    assert res.congestion_vector() == _tree_congestion(g, bfs)
+    assert res.path_count == len(ref_paths)
+    assert all(res.tree(s) == bfs[s] for s in positives)
 
 
 _MIXED_WEIGHTS = st.one_of(st.just(0.0), st.just(1.0),
@@ -315,15 +312,16 @@ def test_in_window_answers_are_sound(g, u):
     # unit, integer or 10^U(-3, 3) weights, one kind per host
     # gamma log-uniform between the endpoint bound and W^2
     total = g.total_weight
-    positives = [x for x in g.weights if x > 0]
+    positives = [v for v in range(g.n) if g.weights[v] > 0]
     assume(len(positives) >= 2)
-    endpoint_lb = max(2.0 * x * (total - x) for x in positives)
+    endpoint_lb = max(2.0 * g.weights[v] * (total - g.weights[v])
+                      for v in positives)
     gamma = endpoint_lb * (total * total / endpoint_lb) ** u
     res = flow_or_sparse_cut(g, gamma)
     if isinstance(res, ConcurrentFlow):
         # the one flow the window returns: the BFS trees of the positives
-        assert list(res.trees) == [v for v in range(g.n) if g.weights[v] > 0]
-        assert all(res.trees[s] == _tree_from(g, s) for s in res.trees)
+        assert res.path_count == len(positives) * (len(positives) - 1)
+        assert all(res.tree(s) == _tree_from(g, s) for s in positives)
         res.check()
         assert res.max_congestion() <= gamma * (1 + 1e-9)
     else:
@@ -334,12 +332,10 @@ def test_in_window_answers_are_sound(g, u):
 
 def test_cut_orders_cover_a_host_with_isolated_vertices():
     # a unit-weight path plus isolated zero-weight vertices: no BFS order
-    # from the path reaches the isolated ones
+    # from the path reaches the isolated ones, and the cuts stay valid
     n = 10
     g = WeightedGraph(2 * n, [(i, i + 1) for i in range(n - 1)],
                       [1.0] * n + [0.0] * n)
-    for order in _cut_orders(g, list(range(n))):
-        assert sorted(order) == list(range(g.n))
     # gamma 0.5 goes straight to the sweep; at gamma 18, the endpoint bound,
     # the tree flow fails and the sweep answers
     for gamma in (0.5, 18.0):
@@ -348,6 +344,18 @@ def test_cut_orders_cover_a_host_with_isolated_vertices():
         again = make_separation(g, res.side_a, res.side_b)
         assert again.sparsity == res.sparsity
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma
+
+
+def test_sweep_stops_before_the_last_positive_vertex():
+    # Summed in path order the positives weigh 1.0, below their exact total
+    # 1 + 2e-16: the prefix holding all of them once read as a cut of
+    # sparsity 0, and make_separation rejected its weightless side B.
+    g = WeightedGraph(4, [(0, 1), (1, 2)], [1.0, 1e-16, 1e-16, 0.0])
+    assert verify_certificate(g, induced_minor_separator(g)).ok
+    res = flow_or_sparse_cut(g, 1e-17)
+    assert isinstance(res, Separation)
+    assert make_separation(g, res.side_a, res.side_b).sparsity == res.sparsity
+    assert res.sparsity <= 64.0 * math.log(4) / 1e-17
 
 
 def _fiedler_order_edge_by_edge(g):

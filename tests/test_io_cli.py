@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsesep
-from coarsesep import FatModel, PatternGraph, WeightedGraph
+from coarsesep import (FatModel, ModelFound, PatternGraph,
+                       SeparatorCertificate, SeparatorFound, WeightedGraph,
+                       verify_certificate)
 from coarsesep.cli import main
 from coarsesep.fileio import (
     FormatError,
@@ -21,6 +25,8 @@ from coarsesep.fileio import (
     read_model,
     read_separator_result,
     read_weights,
+    result_jsonable,
+    separator_jsonable,
     write_graph,
     write_model,
     write_weights,
@@ -112,6 +118,104 @@ def test_separator_result_file(tmp_path):
     path.write_text(json.dumps({"result": "model"}))
     with pytest.raises(FormatError, match="does not hold a separator"):
         read_separator_result(str(path))
+
+
+_IDS = st.integers(0, 50)
+_ID_SETS = st.frozensets(_IDS, max_size=6)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)),
+                      st.integers(0, max(n - 1, 0)))
+    edges = {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=20))
+             if e[0] != e[1]}
+    return WeightedGraph(n, sorted(edges))
+
+
+_WEIGHT_LISTS = st.lists(st.one_of(
+    st.just(0.0), st.floats(0.0, 1e300, allow_nan=False,
+                            allow_infinity=False)), max_size=12)
+_CERTIFICATES = st.builds(
+    SeparatorCertificate, _ID_SETS,
+    _ID_SETS.map(lambda c: tuple(sorted(c))), st.integers(0, 10 ** 30))
+_MODELS = st.builds(
+    FatModel, st.integers(0, 10 ** 30),
+    st.dictionaries(_IDS, _ID_SETS, max_size=4),
+    st.dictionaries(st.tuples(_IDS, _IDS), _ID_SETS, max_size=4))
+
+
+def _write_json(path, obj):
+    # as `separate --out` writes a result
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_graphs(), _WEIGHT_LISTS, _CERTIFICATES, _MODELS)
+def test_file_formats_round_trip(tmp_path_factory, g, weights, cert, model):
+    path = tmp_path_factory.mktemp("round_trip") / "f"
+    again = parse_graph(format_graph(g))
+    assert (again.n, again.edges()) == (g.n, g.edges())
+    write_weights(weights, str(path))
+    assert read_weights(str(path), len(weights)) == weights
+    _write_json(path, separator_jsonable(cert))
+    assert read_separator_result(str(path)) == cert
+    _write_json(path, result_jsonable(SeparatorFound(cert)))
+    assert read_separator_result(str(path)) == cert
+    write_model(model, str(path))
+    assert read_model(str(path)) == model
+    _write_json(path, result_jsonable(ModelFound(model)))
+    assert read_model(str(path)) == model
+
+
+# any JSON value, NaN and the infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from([1e400, -1e400, 1.7, 2.0]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# near-valid files: the right keys, with values of any kind
+_ID_LISTS = _JSON | st.lists(_JSON | st.integers(0, 5), max_size=3)
+_SET_KEYS = st.sampled_from(["0", "1", "0-1", "1-2", "-1", "1-", "x", "٣"])
+_SET_MAPS = _JSON | st.dictionaries(_SET_KEYS, _ID_LISTS, max_size=3)
+_MODEL_DATA = st.fixed_dictionaries({
+    "fatness": _JSON | st.integers(0, 5),
+    "vertex_sets": _SET_MAPS, "edge_sets": _SET_MAPS})
+_FILE_DATA = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"result": st.just("separator") | _JSON,
+                           "S": _ID_LISTS, "centers": _ID_LISTS,
+                           "radius": _JSON | st.integers(0, 5)}),
+    _MODEL_DATA,
+    st.fixed_dictionaries({"result": st.just("model") | _JSON,
+                           "model": _MODEL_DATA | _JSON}))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_FILE_DATA)
+def test_result_and_model_files_load_or_raise_format_error(tmp_path_factory,
+                                                           data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.json"
+    path.write_text(json.dumps(data))
+    for read in (read_separator_result, read_model):
+        try:
+            loaded = read(str(path))
+        except FormatError:
+            continue
+        # whatever loads was written with JSON integers only
+        if read is read_separator_result:
+            assert type(data["radius"]) is int
+            assert loaded.radius == data["radius"]
+            assert loaded.separator == frozenset(data["S"])
+            assert loaded.centers == tuple(data["centers"])
+        else:
+            source = data["model"] if "result" in data else data
+            assert type(source["fatness"]) is int
+            assert loaded.fatness == source["fatness"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +550,89 @@ def test_cli_malformed_json_is_exit_two(tmp_path, capsys, command, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("verify-separator",
+     '{"result": "separator", "S": [1], "centers": [1], "radius": 1e400}',
+     "'radius'"),
+    ("verify-separator",
+     '{"result": "separator", "S": [1.7], "centers": [1.2], "radius": 0.9}',
+     "'S'"),
+    ("verify-separator",
+     '{"result": "separator", "S": "12", "centers": [1], "radius": 0}',
+     "'S'"),
+    ("verify-separator",
+     '{"result": "separator", "S": [1], "centers": [true], "radius": 1}',
+     "'centers'"),
+    ("verify-model",
+     '{"fatness": 1e400, "vertex_sets": {}, "edge_sets": {}}',
+     "'fatness'"),
+    ("verify-model",
+     '{"fatness": 1, "vertex_sets": {"0": [0], "1": [2.0]}, '
+     '"edge_sets": {"0-1": [0, 1, 2]}}',
+     "'vertex_sets' '1'"),
+])
+def test_cli_non_integer_json_numbers_are_exit_two(tmp_path, capsys, command,
+                                                   text, key):
+    # each would be read as integers before: an OverflowError traceback for
+    # 1e400, and S = {1} at radius 0 for the floats on path(3)
+    gpath = tmp_path / "p3.txt"
+    ppath = tmp_path / "k2.txt"
+    jpath = tmp_path / "in.json"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(gpath))
+    ppath.write_text("2 1\n0 1\n")
+    jpath.write_text(text)
+    if command == "verify-separator":
+        extra = ["--result", str(jpath)]
+    else:
+        extra = ["--pattern", str(ppath), "--model", str(jpath),
+                 "--fatness", "1"]
+    code, out, err = run_cli(capsys, command, str(gpath), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} ")
+
+
+@pytest.mark.parametrize("command", ["verify-separator", "verify-model"])
+def test_cli_undecodable_json_is_exit_two(tmp_path, capsys, command):
+    # nesting past the decoder's recursion limit, and bytes that are not
+    # UTF-8, once ended in a traceback
+    gpath = tmp_path / "p3.txt"
+    ppath = tmp_path / "k2.txt"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(gpath))
+    ppath.write_text("2 1\n0 1\n")
+    for name, data in (("deep.json", b"[" * 10 ** 5 + b"]" * 10 ** 5),
+                       ("bytes.json", b"\xff\xfe")):
+        jpath = tmp_path / name
+        jpath.write_bytes(data)
+        if command == "verify-separator":
+            extra = ["--result", str(jpath)]
+        else:
+            extra = ["--pattern", str(ppath), "--model", str(jpath),
+                     "--fatness", "1"]
+        code, out, err = run_cli(capsys, command, str(gpath), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_cli_induced_sep_on_weights_that_drift_in_the_sweep(tmp_path,
+                                                           capsys):
+    # Summed in path order the positives weigh 1.0, below their exact total
+    # 1 + 2e-16: the sweep once read the prefix holding all of them as a cut
+    # of sparsity 0 and failed with "both sides ... need positive weight".
+    gpath = tmp_path / "g.txt"
+    wpath = tmp_path / "g.w"
+    rpath = tmp_path / "r.json"
+    write_graph(WeightedGraph(4, [(0, 1), (1, 2)]), str(gpath))
+    write_weights([1.0, 1e-16, 1e-16, 0.0], str(wpath))
+    code, out, err = run_cli(capsys, "induced-sep", str(gpath), "--weights",
+                             str(wpath), "--json")
+    assert (code, err) == (0, "")
+    rpath.write_text(out)
+    code, out, err = run_cli(capsys, "verify-separator", str(gpath),
+                             "--weights", str(wpath), "--result", str(rpath))
+    assert (code, err) == (0, "")
+    assert out.startswith("balanced=True covered=True")
 
 
 def test_cli_weights_option(tmp_path, capsys):

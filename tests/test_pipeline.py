@@ -215,10 +215,9 @@ def test_override_rounds_an_in_window_flow_into_model(monkeypatch):
     original = flow_module._attempt_tree_flow
     window_flows = []
 
-    def recording(g, gamma, positives):
-        res = original(g, gamma, positives)
-        pw = g.weight_of(positives)
-        window_flows.append(res is not None and gamma < pw * pw)
+    def recording(g, gamma):
+        res = original(g, gamma)
+        window_flows.append(res is not None and gamma < g.total_weight ** 2)
         return res
 
     monkeypatch.setattr(flow_module, "_attempt_tree_flow", recording)
