@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .flow import ConcurrentFlow
-from .graph import (GraphError, WeightedGraph, connected_components,
+from .graph import (GraphError, WeightedGraph, bfs_tree, connected_components,
                     set_distance)
 
 
@@ -416,6 +416,9 @@ def sample_crude_model(sub: SubdividedPattern, flow: ConcurrentFlow,
 # Power-graph reduction
 
 
+# Not on `bfs_layers`: `power_model_to_base` runs about 1,900 early-exit
+# searches per call on path(3000) at d = 5, each reaching a few vertices, and
+# a version on `bfs_layers` with one flag list over all n ran twice as slow.
 def _bfs_path(g: WeightedGraph, src: int, dst: int) -> list[int]:
     """Deterministic shortest path: BFS with sorted neighbor order."""
     parent = {src: -1}
@@ -437,19 +440,15 @@ def _bfs_path(g: WeightedGraph, src: int, dst: int) -> list[int]:
 
 def _power_spanning_tree(power: WeightedGraph,
                          branch: frozenset[int]) -> list[tuple[int, int]]:
-    # the caller has checked that branch is nonempty and connected in power
+    # the caller has checked that branch is nonempty and connected in power;
+    # every vertex outside it is flagged, so the search stays inside it
+    seen = [True] * power.n
+    for v in branch:
+        seen[v] = False
     root = min(branch)
-    seen = {root}
-    out: list[tuple[int, int]] = []
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v in power.adj[u]:
-            if v in branch and v not in seen:
-                seen.add(v)
-                out.append((u, v))
-                q.append(v)
-    return out
+    seen[root] = True
+    parent, order = bfs_tree(power, root, seen)
+    return [(parent[v], v) for v in order[1:]]
 
 
 def power_model_to_base(base: WeightedGraph, power: WeightedGraph,

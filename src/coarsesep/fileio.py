@@ -6,7 +6,8 @@ else is rejected with the offending line number.  Patterns reuse the graph
 format.  Weight files carry one ``vertex weight`` line per vertex.  Models
 and results are JSON; `read_model` also reads a `separate` model result.
 Their vertex ids, radius and fatness must be JSON integers, and anything
-else is rejected with a FormatError that names the key.
+else is rejected with a FormatError that names the key.  Every file is
+read as UTF-8; other bytes raise a FormatError too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .pipeline import ModelFound, PipelineFailure, PipelineResult
 
 class FormatError(GraphError):
     """Malformed input file; the message names the offending line."""
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of `path`; `what` heads the FormatError if it is not."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what}: {exc}") from exc
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -82,8 +92,7 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def read_graph(path: str) -> WeightedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path, "graph file is not valid UTF-8"))
 
 
 def format_graph(g: WeightedGraph) -> str:
@@ -103,8 +112,7 @@ def parse_pattern(text: str) -> PatternGraph:
 
 
 def read_pattern(path: str) -> PatternGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pattern(fh.read())
+    return parse_pattern(_read_text(path, "pattern file is not valid UTF-8"))
 
 
 def parse_weights(text: str, n: int) -> list[float]:
@@ -134,8 +142,7 @@ def parse_weights(text: str, n: int) -> list[float]:
 
 
 def read_weights(path: str, n: int) -> list[float]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_weights(fh.read(), n)
+    return parse_weights(_read_text(path, "weight file is not valid UTF-8"), n)
 
 
 def write_weights(weights: list[float], path: str) -> None:
@@ -197,13 +204,14 @@ def model_from_jsonable(data: object) -> FatModel:
 
 
 def _read_json(path: str, what: str) -> object:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        # a JSONDecodeError or UnicodeDecodeError, or nesting deeper than
-        # the decoder's recursion limit
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{what} file is not valid JSON: {exc}") from exc
+    # JSON text is UTF-8, so bytes that are not are invalid JSON too
+    label = f"{what} file is not valid JSON"
+    text = _read_text(path, label)
+    try:
+        return json.loads(text)
+    # a JSONDecodeError, or nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{label}: {exc}") from exc
 
 
 def read_model(path: str) -> FatModel:

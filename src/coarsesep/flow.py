@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graph import (GraphError, Separation, WeightedGraph, bfs_distances,
-                    connected_components, induced_subgraph, make_separation)
+                    bfs_tree, connected_components, induced_subgraph,
+                    make_separation)
 
 # c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
 # gap (Leighton and Rao, JACM 1999)
@@ -78,7 +79,7 @@ class ConcurrentFlow:
     The sources are the positive-weight vertices of `host` in id order, and
     they must share one component.  Pair (s, t) is served by the single
     path `path(s, t)` in the BFS tree of s at amount w(s) * w(t).  Each
-    tree, the (parent array, visit order) pair of `_tree_from`, is built by
+    tree, the (parent array, visit order) pair of `bfs_tree`, is built by
     `tree(s)` on first use and then cached, so a flow whose paths are
     looked up for a few sources builds only their trees, and a flow takes
     O(p * n) memory for p sources instead of one stored path per ordered
@@ -99,7 +100,9 @@ class ConcurrentFlow:
         """The BFS tree (parent array, visit order) of source s."""
         tree = self._trees[s]
         if tree is None:
-            tree = self._trees[s] = _tree_from(self.host, s)
+            seen = [False] * self.host.n
+            seen[s] = True
+            tree = self._trees[s] = bfs_tree(self.host, s, seen)
         return tree
 
     def routed(self) -> Iterator[tuple[int, int, tuple[int, ...], float]]:
@@ -157,24 +160,6 @@ class ConcurrentFlow:
 
 # ---------------------------------------------------------------------------
 # Flow search: the BFS-tree flow
-
-
-def _tree_from(g: WeightedGraph, src: int) -> tuple[list[int], list[int]]:
-    """BFS tree (parent array, visit order) from src.
-
-    Neighbours are visited in adjacency order, so the tree is deterministic.
-    """
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    seen[src] = True
-    order = [src]
-    for u in order:  # the visit order is the FIFO queue itself
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    return parent, order
 
 
 def _tree_congestion(g: WeightedGraph,
@@ -324,7 +309,11 @@ def _cut_orders(g: WeightedGraph) -> list[list[int]]:
     # holds the positives, the sweep would stop before any vertex appended
     # to it; vertex 0's component may hold no positive weight, and then its
     # order gives no cut.
-    orders = [_tree_from(g, s)[1] for s in _bfs_sources(g)]
+    orders = []
+    for s in _bfs_sources(g):
+        seen = [False] * g.n
+        seen[s] = True
+        orders.append(bfs_tree(g, s, seen)[1])
     w = g.weights
     ids = list(range(g.n))
     orders.append(sorted(ids, key=lambda v: (w[v], v)))

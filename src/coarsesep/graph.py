@@ -4,13 +4,15 @@ Everything in this package works on simple undirected graphs with
 nonnegative vertex weights and 0-based integer vertex ids.  Distances are
 hop counts; ``math.inf`` marks unreachable pairs.
 
-Every search here walks `bfs_layers(g, sources, seen, radius)`, which
-yields the frontiers at depth 1, 2, ..., `radius` as lists in FIFO
-discovery order and stops at the first empty one.  The caller owns the
-flag list `seen` and flags the sources; the generator flags each vertex it
-reaches and never enters a flagged one.  So pre-flagged vertices are walls
-(outside `within`, already covered), and a caller that clears its flags
-can reuse one list for many searches.
+Every breadth-first search in the package is one of two here.
+`bfs_layers(g, sources, seen, radius)` yields the frontiers at depth 1, 2,
+..., `radius` as lists in FIFO discovery order and stops at the first
+empty one.  `bfs_tree(g, src, seen)` returns the parent array and the
+visit order of the whole search from `src`.  Both take the flag list the
+same way: the caller owns `seen` and flags the sources; the search flags
+each vertex it reaches and never enters a flagged one.  So pre-flagged
+vertices are walls (outside `within`, already covered), and a caller that
+clears its flags can reuse one list for many searches.
 """
 
 from __future__ import annotations
@@ -148,6 +150,23 @@ def bfs_layers(g: WeightedGraph, sources: Iterable[int], seen: list[bool],
             return
         yield nxt
         layer = nxt
+
+
+def bfs_tree(g: WeightedGraph, src: int,
+             seen: list[bool]) -> tuple[list[int], list[int]]:
+    """BFS tree (parent array, visit order) from src; see the module doc.
+
+    Neighbours are visited in adjacency order, so the tree is deterministic.
+    """
+    parent = [-1] * g.n
+    order = [src]
+    for u in order:  # the visit order is the FIFO queue itself
+        for v in g.adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    return parent, order
 
 
 def _check_ids(g: WeightedGraph, ids: Collection[int]) -> None:
@@ -437,28 +456,19 @@ def quotient(g: WeightedGraph, clusters: Sequence[Sequence[int]]) -> QuotientGra
     missing = [v for v in range(g.n) if cluster_of[v] == -1]
     if missing:
         raise GraphError(f"partition does not cover vertex {missing[0]}")
-    # one search per cluster, inside it, both checks that it is connected
-    # and collects the clusters it touches
+    # every vertex outside the current cluster is flagged, so one search
+    # from its first vertex reaches all of it iff it is connected, and
+    # leaves every flag set again for the next cluster
     adj = g.adj
-    reached = [False] * g.n
+    seen = [True] * g.n
     rows = []
     for i, cl in enumerate(norm):
-        reached[cl[0]] = True
-        stack = [cl[0]]
-        count = 1
-        nbrs = set()
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                c = cluster_of[v]
-                if c != i:
-                    nbrs.add(c)
-                elif not reached[v]:
-                    reached[v] = True
-                    count += 1
-                    stack.append(v)
-        if count != len(cl):
+        for v in cl:
+            seen[v] = False
+        seen[cl[0]] = True
+        if 1 + sum(map(len, bfs_layers(g, cl[:1], seen))) != len(cl):
             raise GraphError(f"cluster {i} is not connected")
-        rows.append(sorted(nbrs))
+        nbrs = {cluster_of[v] for u in cl for v in adj[u]}
+        rows.append(sorted(nbrs - {i}))
     qg = WeightedGraph._derived(rows, [g.weight_of(cl) for cl in norm])
     return QuotientGraph(qg, tuple(norm), tuple(cluster_of))

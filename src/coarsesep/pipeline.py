@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
                        SubdividedPattern, crude_to_fat, ensure_no_isolated,
@@ -116,7 +116,7 @@ def _checked(g: WeightedGraph, cert: SeparatorCertificate,
              branch: str, gamma: float | None) -> SeparatorFound:
     report = verify_separator(g, cert.separator, cert.centers, cert.radius)
     if not report.ok:
-        # not always internal: a custom quotient oracle's choice ends here
+        # an internal fault: every branch builds a certificate that passes
         raise GraphError(
             f"{branch} certificate failed verification "
             f"(balanced={report.balanced}, heaviest="
@@ -310,9 +310,6 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
 # Separators through star quotients
 
 
-QuotientSeparatorOracle = Callable[[WeightedGraph], Iterable[int]]
-
-
 def _default_quotient_oracle(qg: WeightedGraph) -> Iterable[int]:
     if sum(1 for w in qg.weights if w > 0) < 2:
         return range(qg.n)
@@ -323,33 +320,25 @@ def _default_quotient_oracle(qg: WeightedGraph) -> Iterable[int]:
     return sorted(balanced_separator_by_sweeps(scaled).separator)
 
 
-def induced_minor_separator(g: WeightedGraph,
-                            quotient_oracle: QuotientSeparatorOracle | None
-                            = None) -> SeparatorCertificate:
+def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     """Balanced separator covered by radius-1 balls, via a star quotient.
 
     The star partition keeps the quotient small; any balanced separator of
     the quotient blows up to a balanced separator of the graph made of
     whole stars, so single-ball coverage is automatic.  The quotient
-    separator comes from `quotient_oracle` (default: peel sweep cuts of the
-    quotient, `balanced_separator_by_sweeps`, with no congestion budget
-    or routing).  The quotient carries the weights divided by the
-    heaviest one, so uniform weights at any scale give the unit-weight
-    answer.  The oracle's ids are checked to be in range; its balance is
-    checked once, when the certificate is verified on `g`, since the
-    components of G - S are unions of whole stars.
+    separator comes from peeling sweep cuts of the quotient
+    (`balanced_separator_by_sweeps`, with no congestion budget or
+    routing).  The quotient carries the weights divided by the heaviest
+    one, so uniform weights at any scale give the unit-weight answer.  The
+    separator's balance is checked once, when the certificate is verified
+    on `g`, since the components of G - S are unions of whole stars.
     """
     if g.n == 0:
         return SeparatorCertificate(frozenset(), (), 0)
     part, q = star_partition(_heaviest_weight_one(g)[0])
-    oracle = quotient_oracle or _default_quotient_oracle
-    chosen = sorted(set(oracle(q.graph)))
-    for i in chosen:
-        if not (0 <= i < q.graph.n):
-            raise GraphError(f"quotient oracle returned bad cluster id {i}")
     sep: set[int] = set()
     centers = []
-    for i in chosen:
+    for i in _default_quotient_oracle(q.graph):  # no id repeats
         sep.update(part.clusters[i])
         centers.append(part.centers[i])
     radius = coverage_radius(g, sep, centers) if sep else 0

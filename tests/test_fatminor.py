@@ -1,6 +1,9 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     ConcurrentFlow,
@@ -24,6 +27,7 @@ from coarsesep import (
     verify_crude_model,
     verify_fat_model,
 )
+from coarsesep.fatminor import _power_spanning_tree
 from coarsesep.fileio import model_from_jsonable, model_jsonable
 from coarsesep.generators import cycle_graph, path_graph
 
@@ -283,6 +287,50 @@ def test_power_model_reduces_to_base_fatness():
     # padding only ever grows branch sets
     for u, s in model.vertex_sets.items():
         assert s <= reduced.vertex_sets[u]
+
+
+def _deque_power_spanning_tree(pw, branch):
+    """The queue-and-set BFS `_power_spanning_tree` once ran, as reference."""
+    root = min(branch)
+    seen = {root}
+    out = []
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for v in pw.adj[u]:
+            if v in branch and v not in seen:
+                seen.add(v)
+                out.append((u, v))
+                q.append(v)
+    return out
+
+
+@st.composite
+def _powers_and_branches(draw):
+    # a random graph, its r-th power, and a branch grown from one vertex
+    # by adding a neighbour in the power at a time, so connected there
+    n = draw(st.integers(1, 25))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    g = WeightedGraph(n, sorted({(min(e), max(e)) for e in pairs
+                                 if e[0] != e[1]}))
+    pw = power(g, draw(st.sampled_from([1, 2, 3])))
+    branch = {draw(st.integers(0, n - 1))}
+    for _ in range(draw(st.integers(0, n))):
+        out = sorted({v for u in branch for v in pw.adj[u]} - branch)
+        if not out:
+            break
+        branch.add(out[draw(st.integers(0, len(out) - 1))])
+    return pw, frozenset(branch)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_powers_and_branches())
+def test_power_spanning_tree_matches_the_deque_search(case):
+    pw, branch = case
+    tree = _power_spanning_tree(pw, branch)
+    assert tree == _deque_power_spanning_tree(pw, branch)
+    assert len(tree) == len(branch) - 1
 
 
 # ---------------------------------------------------------------------------

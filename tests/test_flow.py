@@ -30,8 +30,15 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import (_fiedler_order, _sweep_order, _tree_congestion,
-                            _tree_from)
+from coarsesep.flow import _fiedler_order, _sweep_order, _tree_congestion
+from coarsesep.graph import bfs_tree
+
+
+def _bfs_tree(g, s):
+    """The unwalled BFS tree (parent array, visit order) of source s."""
+    seen = [False] * g.n
+    seen[s] = True
+    return bfs_tree(g, s, seen)
 
 
 def test_two_vertices_flow_congestion_exactly_two():
@@ -188,7 +195,7 @@ def test_tree_flow_walks_the_paths_of_its_parent_arrays():
                           (4, 5), (4, 6), (5, 6)],
                       [0.1, 0.2, 0.3, 0.0, 0.2, 0.1, 0.3])
     positives = [0, 1, 2, 4, 5, 6]
-    bfs = {s: _tree_from(g, s) for s in positives}
+    bfs = {s: _bfs_tree(g, s) for s in positives}
     bfs_peak = max(_tree_congestion(g, bfs))
     assert bfs_peak == pytest.approx(0.78)
     cut = flow_or_sparse_cut(g, 0.72)
@@ -229,7 +236,7 @@ def test_flow_ceiling_builds_a_tree_only_when_its_paths_are_walked(
         monkeypatch):
     # At gamma >= W^2 every routing fits, so the flow comes back with no
     # tree built; looking up one pair builds its source's tree only.
-    _, trees = _recording(monkeypatch, "_tree_from")
+    _, trees = _recording(monkeypatch, "bfs_tree")
 
     def built():
         return [order[0] for _, order in trees]
@@ -263,7 +270,7 @@ def test_flow_ceiling_walks_the_paths_of_eager_bfs_trees(g):
     gamma = g.total_weight ** 2
     res = flow_or_sparse_cut(g, gamma)
     assert isinstance(res, ConcurrentFlow)
-    bfs = {s: _tree_from(g, s) for s in positives}
+    bfs = {s: _bfs_tree(g, s) for s in positives}
     assert max(_tree_congestion(g, bfs)) <= gamma
     ref_paths, _ = _reference_tree_flow(g, bfs)
     assert list(res.routed()) == [(s, t, verts, amount) for (s, t), (
@@ -321,7 +328,7 @@ def test_in_window_answers_are_sound(g, u):
     if isinstance(res, ConcurrentFlow):
         # the one flow the window returns: the BFS trees of the positives
         assert res.path_count == len(positives) * (len(positives) - 1)
-        assert all(res.tree(s) == _tree_from(g, s) for s in positives)
+        assert all(res.tree(s) == _bfs_tree(g, s) for s in positives)
         res.check()
         assert res.max_congestion() <= gamma * (1 + 1e-9)
     else:

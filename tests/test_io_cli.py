@@ -615,6 +615,24 @@ def test_cli_undecodable_json_is_exit_two(tmp_path, capsys, command):
         assert err.startswith("error: ") and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("bad", ["graph", "pattern", "weight"])
+def test_cli_undecodable_text_is_exit_two(tmp_path, capsys, bad):
+    # a graph, pattern or weight file holding a byte that is not UTF-8 once
+    # ended in a UnicodeDecodeError traceback
+    paths = {name: tmp_path / f"{name}.txt"
+             for name in ("graph", "pattern", "weight")}
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(paths["graph"]))
+    paths["pattern"].write_text("2 1\n0 1\n")
+    write_weights([1.0, 1.0, 1.0], str(paths["weight"]))
+    paths[bad].write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, "separate", str(paths["graph"]),
+                             "--pattern", str(paths["pattern"]),
+                             "--weights", str(paths["weight"]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} file is not valid UTF-8: ")
+    assert "Traceback" not in err
+
+
 def test_cli_induced_sep_on_weights_that_drift_in_the_sweep(tmp_path,
                                                            capsys):
     # Summed in path order the positives weigh 1.0, below their exact total
