@@ -362,9 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Pin BLAS to one thread: the sweep cuts' dense `eigh` ran 8-49x slower
-    # with BLAS threads competing for two cores.  numpy is imported lazily,
-    # so this runs before it loads; `setdefault` keeps a value set outside.
+    # Pin BLAS to one thread: the spectral sweep order's dense LAPACK calls
+    # (`eigvalsh` and `solve`) would compete with BLAS threads for the
+    # cores; the `eigh` they replaced ran 8-49x slower unpinned.  numpy is
+    # imported lazily, so this runs before it loads; `setdefault` keeps a
+    # value set outside.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     parser = build_parser()

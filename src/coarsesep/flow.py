@@ -262,11 +262,16 @@ def _prefix_separation(g: WeightedGraph, order: list[int],
     return make_separation(g, side_a, set(range(g.n)) - u_set)
 
 
-def _fiedler_order(g: WeightedGraph) -> list[int] | None:
+def _fiedler_vector(g: WeightedGraph):
+    """A unit eigenvector of the Laplacian for its second-smallest eigenvalue.
+
+    A numpy array, or None where no spectral order is computed: fewer than
+    3 or more than 800 vertices, no edge, or a failed LAPACK call.
+    """
     if g.n < 3 or g.n > 800 or g.m == 0:
         return None
     import numpy as np
-    # the same matrix as one summed edge by edge, so the same eigenvectors
+    # the same matrix as one summed edge by edge
     adj = g.adj
     lap = np.zeros((g.n, g.n))
     degrees = [len(row) for row in adj]
@@ -277,10 +282,32 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
     diagonal = np.arange(g.n)
     lap[diagonal, diagonal] = degrees
     try:
-        _, vecs = np.linalg.eigh(lap)
+        # eigvalsh skips eigh's back-transform of all n vectors; two steps of
+        # inverse iteration just below lambda_2 then give its vector.  The
+        # shift 1e-10 lambda_max keeps the matrix nonsingular where lambda_2
+        # is a multiple 0 (a disconnected host).  Each solve shrinks every
+        # other eigencomponent of the fixed start cos(k^2) against lambda_2's
+        # by about 1e-10, and the mean goes after each one, since on a
+        # disconnected host the constant vector shares lambda_2 = 0.
+        vals = np.linalg.eigvalsh(lap)
+        lap[diagonal, diagonal] -= vals[1] - 1e-10 * vals[-1]
+        vec = np.cos(diagonal.astype(float) ** 2)
+        vec -= vec.mean()
+        for _ in range(2):
+            vec = np.linalg.solve(lap, vec)
+            vec -= vec.mean()
+            vec /= np.linalg.norm(vec)
     except np.linalg.LinAlgError:  # pragma: no cover - numeric guard
         return None
-    vec = vecs[:, 1].tolist()
+    return vec
+
+
+def _fiedler_order(g: WeightedGraph) -> list[int] | None:
+    """Vertices sorted by their Fiedler vector entry, equal entries by id."""
+    fiedler = _fiedler_vector(g)
+    if fiedler is None:
+        return None
+    vec = fiedler.tolist()
     for x in vec:
         if abs(x) > 1e-12:
             if x < 0:
@@ -291,8 +318,18 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
 
 
 def _bfs_sources(g: WeightedGraph) -> list[int]:
+    w = g.weights
     # a heaviest vertex is positive, so it lies with the other positives
-    sources = [max(range(g.n), key=lambda v: (g.weights[v], -v)), 0]
+    top = max(range(g.n), key=lambda v: (w[v], -v))
+    start = 0
+    if not all(x > 0 for x in w):
+        # vertex 0 may lie in a weightless component, whose BFS order gives
+        # no cut: start at the lowest id of the positives' component.  With
+        # every weight positive the component split has already shown the
+        # host connected.
+        dist = bfs_distances(g, [top])
+        start = next(v for v, d in enumerate(dist) if d < math.inf)
+    sources = [top, start]
     # farthest-point picks spread the region-growing starts out
     for _ in range(2):
         dist = bfs_distances(g, sources)
@@ -305,10 +342,9 @@ def _bfs_sources(g: WeightedGraph) -> list[int]:
 
 
 def _cut_orders(g: WeightedGraph) -> list[list[int]]:
-    # A BFS order covers its source's component only.  Where that component
-    # holds the positives, the sweep would stop before any vertex appended
-    # to it; vertex 0's component may hold no positive weight, and then its
-    # order gives no cut.
+    # A BFS order covers its source's component only, and every source lies
+    # in the positives' component: the sweep would stop before any vertex
+    # appended to the order.
     orders = []
     for s in _bfs_sources(g):
         seen = [False] * g.n
@@ -329,7 +365,13 @@ def _best_sweep_separation(g: WeightedGraph) -> Separation | None:
     """Sparsest prefix cut over all orders; None when no order has one."""
     total = g.total_weight
     best: tuple[float, list[int], int] | None = None
+    swept: list[list[int]] = []
     for order in _cut_orders(g):
+        # equal weights make both weight orders plain id order; a repeat
+        # cannot win, since only a strictly sparser cut replaces the best
+        if order in swept:
+            continue
+        swept.append(order)
         hit = _sweep_order(g, order, total)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], order, hit[1])

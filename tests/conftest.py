@@ -1,7 +1,8 @@
 """Pin BLAS to one thread before any test module imports numpy.
 
-The sweep cuts call dense `eigh`; with unpinned BLAS threads competing for
-two cores it ran 8-49x slower.  `setdefault` keeps a value set outside.
+The spectral sweep order calls dense `eigvalsh` and `solve`; the `eigh` they
+replaced ran 8-49x slower with unpinned BLAS threads competing for two
+cores.  `setdefault` keeps a value set outside.
 """
 
 import os

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,8 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import _fiedler_order, _sweep_order, _tree_congestion
+from coarsesep.flow import (_cut_orders, _fiedler_order, _fiedler_vector,
+                            _sweep_order, _tree_congestion)
 from coarsesep.graph import bfs_tree
 
 
@@ -353,6 +355,34 @@ def test_cut_orders_cover_a_host_with_isolated_vertices():
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma
 
 
+def test_every_bfs_order_starts_inside_the_positives_component():
+    # vertices 0 and 1 form a weightless component; a BFS order from
+    # vertex 0 would cover only it and give no cut
+    edges = [(0, 1)] + [(v, v + 1) for v in range(2, 11)] + [(2, 11)]
+    g = WeightedGraph(12, edges, [0.0, 0.0] + [float(v) for v in range(2, 12)])
+    sources = flow_module._bfs_sources(g)
+    assert sources[:2] == [11, 2]
+    orders = _cut_orders(g)[:len(sources)]
+    for order in orders:
+        assert _sweep_order(g, order, g.total_weight) is not None
+
+
+def test_each_distinct_order_is_swept_once(monkeypatch):
+    # with equal weights both weight orders are plain id order
+    g = grid_graph(5)
+    orders = _cut_orders(g)
+    assert orders.count(list(range(g.n))) == 2
+    swept = []
+
+    def recording(g, order, total):
+        swept.append(order)
+        return _sweep_order(g, order, total)
+
+    monkeypatch.setattr(flow_module, "_sweep_order", recording)
+    flow_module._best_sweep_separation(g)
+    assert sorted(swept) == sorted(map(list, {tuple(o) for o in orders}))
+
+
 def test_sweep_stops_before_the_last_positive_vertex():
     # Summed in path order the positives weigh 1.0, below their exact total
     # 1 + 2e-16: the prefix holding all of them once read as a cut of
@@ -365,7 +395,7 @@ def test_sweep_stops_before_the_last_positive_vertex():
     assert res.sparsity <= 64.0 * math.log(4) / 1e-17
 
 
-def _fiedler_order_edge_by_edge(g):
+def _edge_by_edge_laplacian(g):
     """Reference: the Laplacian summed one edge at a time."""
     import numpy as np
     lap = np.zeros((g.n, g.n))
@@ -374,25 +404,83 @@ def _fiedler_order_edge_by_edge(g):
         lap[v, v] += 1.0
         lap[u, v] -= 1.0
         lap[v, u] -= 1.0
-    vec = np.linalg.eigh(lap)[1][:, 1]
+    return lap
+
+
+def _eigh_fiedler(g):
+    """Reference: dense eigh's Fiedler vector, signed as `_fiedler_order`
+    signs it, with all eigenvalues."""
+    import numpy as np
+    vals, vecs = np.linalg.eigh(_edge_by_edge_laplacian(g))
+    vec = vecs[:, 1]
     for x in vec:
         if abs(x) > 1e-12:
             if x < 0:
                 vec = -vec
             break
-    return sorted(range(g.n), key=lambda v: (vec[v], v))
+    return vals, vec
+
+
+def _best_sweep_of(g, order):
+    hits = [_sweep_order(g, o, g.total_weight) for o in (order, order[::-1])]
+    return min((h[0] for h in hits if h is not None), default=None)
 
 
 def test_fiedler_order_matches_edge_by_edge_laplacian():
+    import numpy as np
     rng = random.Random(11)
     hosts = [grid_graph(12), cycle_graph(60), barbell_graph(8, 4),
              complete_graph(9)]
     hosts += [_random_sparse_host(rng, 120) for _ in range(12)]
     # isolated vertices give zero rows and a multiple zero eigenvalue
-    hosts.append(WeightedGraph(30, [(i, i + 1) for i in range(19)]))
+    disconnected = WeightedGraph(30, [(i, i + 1) for i in range(19)])
+    hosts.append(disconnected)
+    compared = 0
     for g in hosts:
-        if g.n >= 3 and g.m:
-            assert _fiedler_order(g) == _fiedler_order_edge_by_edge(g)
+        if g.n < 3 or not g.m:
+            continue
+        lap = _edge_by_edge_laplacian(g)
+        vals, ref = _eigh_fiedler(g)
+        lam2, lam_max = vals[1], vals[-1]
+        x = _fiedler_vector(g)
+        # a unit vector orthogonal to 1, and an eigenvector of the
+        # Laplacian summed edge by edge for its second eigenvalue
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert abs(x.sum()) <= 1e-9
+        assert np.linalg.norm(lap @ x - lam2 * x) <= 1e-8 * lam_max
+        # where lambda_2 is well separated and no two entries nearly tie,
+        # the order is eigh's
+        gaps = np.diff(np.sort(ref))
+        if vals[2] - lam2 >= 1e-3 * lam_max and gaps.min() > 1e-9:
+            compared += 1
+            order = sorted(range(g.n), key=lambda v: (ref[v], v))
+            assert _fiedler_order(g) == order
+    assert compared >= 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fiedler_order(disconnected) is not None
+
+
+@st.composite
+def _hosts_with_simple_lambda2(draw):
+    g = draw(_connected_weighted_hosts(60, st.just(st.just(1.0))))
+    assume(g.n >= 3)
+    vals = _eigh_fiedler(g)[0]
+    assume(vals[2] - vals[1] >= 1e-3 * vals[-1])
+    return g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_hosts_with_simple_lambda2())
+def test_fiedler_order_sweeps_as_well_as_eigh(g):
+    vec = _eigh_fiedler(g)[1]
+    ref = sorted(range(g.n), key=lambda v: (vec[v], v))
+    got = _best_sweep_of(g, _fiedler_order(g))
+    want = _best_sweep_of(g, ref)
+    if want is None:
+        assert got is None
+    else:
+        assert abs(got - want) <= 1e-9 * want
 
 
 def _random_weighted_host(rng):

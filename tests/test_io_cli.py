@@ -97,6 +97,44 @@ def test_parse_weights_errors():
         parse_weights("0 1\n1 nan\n", 2)
 
 
+def _parse_two_weights(text):
+    return parse_weights(text, 2)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    pytest.param(parse_graph, "\n3 2 1\n0 1\n1 2\n",
+                 "line 2: header must be '<n> <m>'", id="header-fields"),
+    pytest.param(parse_graph, "3 two\n0 1\n1 2\n",
+                 "line 1: header must hold two integers", id="header-int"),
+    pytest.param(parse_graph, "-3 0\n",
+                 "line 1: negative counts in header", id="negative-n"),
+    pytest.param(parse_graph, "3 -1\n",
+                 "line 1: negative counts in header", id="negative-m"),
+    pytest.param(parse_graph, "3 2\n0 1\n\n1 2 0\n",
+                 "line 4: edge line must be '<u> <v>'", id="edge-fields"),
+    pytest.param(parse_graph, "3 2\n0 1\n1\n",
+                 "line 3: edge line must be '<u> <v>'", id="edge-one-field"),
+    pytest.param(parse_graph, "3 2\n0 1\n1 b\n",
+                 "line 3: edge endpoints must be integers", id="edge-int"),
+    pytest.param(parse_pattern, "3 1\n0.5 1\n",
+                 "line 2: edge endpoints must be integers", id="pattern-int"),
+    pytest.param(_parse_two_weights, "0 1\n1 2 3\n",
+                 "line 2: weight line must be '<vertex> <weight>'",
+                 id="weight-fields"),
+    pytest.param(_parse_two_weights, "0\n1 2\n",
+                 "line 1: weight line must be '<vertex> <weight>'",
+                 id="weight-one-field"),
+    pytest.param(_parse_two_weights, "0 1\nx 2\n",
+                 "line 2: bad vertex or weight", id="weight-vertex"),
+    pytest.param(_parse_two_weights, "0 1\n1 heavy\n",
+                 "line 2: bad vertex or weight", id="weight-value"),
+])
+def test_text_parser_errors_name_the_line(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+
+
 def test_model_file_round_trip(tmp_path):
     model = FatModel(2, {0: frozenset({1, 2}), 1: frozenset({5})},
                      {(0, 1): frozenset({2, 3, 4, 5})})

@@ -187,6 +187,27 @@ def test_override_single_trial_can_fail():
             + res.lift_failures) == 1
 
 
+def _hub(a):
+    """Vertex 0 joined to all others; two random 3-regular graphs on
+    1..a and a+1..2a, matched by the edges (i, a + i)."""
+    edges = [(0, v) for v in range(1, 2 * a + 1)]
+    for seed, shift in ((1, 1), (2, a + 1)):
+        edges += [(u + shift, v + shift)
+                  for u, v in random_regular_graph(a, 3, seed=seed).edges()]
+    edges += [(i, a + i) for i in range(1, a + 1)]
+    return WeightedGraph(2 * a + 1, edges)
+
+
+def test_default_trials_can_all_fail():
+    # a real failure, not one forced by trials=0: all 64 default rounding
+    # trials fail, by collision or by spread
+    cfg = PipelineConfig(eps=0.5, seed=0, congestion_override=0.05 * 801 ** 2)
+    res = coarse_separator_or_model(_hub(400), K2, 1, cfg)
+    assert res == PipelineFailure("rounding", 64, 9, 55, 0)
+    assert (res.collision_failures + res.spread_failures
+            + res.lift_failures) == res.trials
+
+
 @pytest.mark.parametrize("pattern", [PatternGraph(0, []), K2])
 def test_negative_trials_are_rejected(pattern):
     cfg = PipelineConfig(congestion_override=1e15, trials=-1, seed=0)
