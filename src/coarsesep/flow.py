@@ -321,14 +321,10 @@ def _bfs_sources(g: WeightedGraph) -> list[int]:
     w = g.weights
     # a heaviest vertex is positive, so it lies with the other positives
     top = max(range(g.n), key=lambda v: (w[v], -v))
-    start = 0
-    if not all(x > 0 for x in w):
-        # vertex 0 may lie in a weightless component, whose BFS order gives
-        # no cut: start at the lowest id of the positives' component.  With
-        # every weight positive the component split has already shown the
-        # host connected.
-        dist = bfs_distances(g, [top])
-        start = next(v for v, d in enumerate(dist) if d < math.inf)
+    # vertex 0 may lie in a weightless component, whose BFS order gives no
+    # cut: start at the lowest id of the positives' component instead
+    dist = bfs_distances(g, [top])
+    start = next(v for v, d in enumerate(dist) if d < math.inf)
     sources = [top, start]
     # farthest-point picks spread the region-growing starts out
     for _ in range(2):

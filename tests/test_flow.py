@@ -483,6 +483,37 @@ def test_fiedler_order_sweeps_as_well_as_eigh(g):
         assert abs(got - want) <= 1e-9 * want
 
 
+# Leaves of one vertex, which an automorphism swaps, have Fiedler entries
+# that are equal in exact arithmetic.  The stable sort breaks only bitwise
+# ties by id, so their order is left to rounding, and it differs between
+# LAPACK routines.  That is why the property above draws unit weights.
+_TIED_LEAVES_TREE = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 5)]
+
+
+def test_tied_fiedler_entries_decide_the_weighted_sweep():
+    g = WeightedGraph(7, _TIED_LEAVES_TREE, [0.0] * 6 + [1.0])
+    x = _fiedler_vector(g)
+    leaves = [2, 3, 4, 6]
+    assert max(x[leaves]) - min(x[leaves]) <= 1e-12
+    order = _fiedler_order(g)
+    assert order[:3] == [5, 1, 0] and sorted(order[3:]) == leaves
+    # The tied leaves in id order, as the solve gave them, and in the order
+    # dense eigh gave them: their best sweep cuts differ, 1 against 3.
+    assert _best_sweep_of(g, [5, 1, 0, 2, 3, 4, 6]) == 1.0
+    assert _best_sweep_of(g, [5, 1, 0, 3, 6, 4, 2]) == 3.0
+
+
+@pytest.mark.xfail(strict=False, reason="entries equal in exact arithmetic "
+                   "are ordered by rounding noise, not by id")
+def test_tied_fiedler_entries_go_in_id_order():
+    # leaves 3 and 7 of vertex 1, and 5 and 6 of vertex 4, tie
+    g = WeightedGraph(8, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5), (4, 6),
+                          (1, 7)])
+    order = _fiedler_order(g)
+    assert order.index(3) < order.index(7)
+    assert order.index(5) < order.index(6)
+
+
 def _random_weighted_host(rng):
     n = rng.randint(2, 36)
     p = rng.choice([0.1, 0.2, 0.4, 0.8])
