@@ -30,7 +30,7 @@ from .partition import (ClusterClosePairs, ConnectedPartition,
                         max_ball2_clusters, peel_threshold, sparse_partition,
                         star_partition)
 from .pipeline import (ModelFound, PipelineConfig, PipelineFailure,
-                       SeparatorFound, coarse_separator_or_model, core_3fat,
+                       SeparatorFound, coarse_separator_or_model,
                        induced_minor_separator)
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "SeparatorFound", "SeparatorReport", "SubdividedPattern", "WeightedGraph",
     "ball", "balanced_separator_or_flow", "bfs_distances",
     "brute_force_fat_minor", "close_cluster_pairs",
-    "coarse_separator_or_model", "connected_components", "core_3fat",
+    "coarse_separator_or_model", "connected_components",
     "coverage_radius", "crude_to_fat", "ensure_fat_model",
     "ensure_no_isolated", "exact_min_balanced_separator",
     "exact_sparsest_separation", "flow_or_sparse_cut", "greedy_dominating_set",

@@ -10,7 +10,7 @@ gamma, between
   CUT_CONSTANT * ln(n) / gamma.
 
 Cuts come from prefix sweeps of several vertex orders (BFS region growing,
-spectral, weight orders).  Either side is a valid answer, so a call does
+spectral, weight-ascending).  Either side is a valid answer, so a call does
 not look for the better one.  It tries, in order:
 
 1. the window: below the endpoint bound max_v 2 w(v) (W - w(v)) no flow
@@ -59,10 +59,6 @@ _REL_TOL = 1e-9
 
 class FlowCutError(RuntimeError):
     """The tree flow missed gamma and no sweep cut met the bound."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class FlowError(GraphError):
@@ -347,9 +343,7 @@ def _cut_orders(g: WeightedGraph) -> list[list[int]]:
         seen[s] = True
         orders.append(bfs_tree(g, s, seen)[1])
     w = g.weights
-    ids = list(range(g.n))
-    orders.append(sorted(ids, key=lambda v: (w[v], v)))
-    orders.append(sorted(ids, key=lambda v: (-w[v], v)))
+    orders.append(sorted(range(g.n), key=lambda v: (w[v], v)))
     fiedler = _fiedler_order(g)
     if fiedler is not None:
         orders.append(fiedler)
@@ -361,13 +355,7 @@ def _best_sweep_separation(g: WeightedGraph) -> Separation | None:
     """Sparsest prefix cut over all orders; None when no order has one."""
     total = g.total_weight
     best: tuple[float, list[int], int] | None = None
-    swept: list[list[int]] = []
     for order in _cut_orders(g):
-        # equal weights make both weight orders plain id order; a repeat
-        # cannot win, since only a strictly sparser cut replaces the best
-        if order in swept:
-            continue
-        swept.append(order)
         hit = _sweep_order(g, order, total)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], order, hit[1])
@@ -434,9 +422,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
 
     raise FlowCutError(
         "no flow within the congestion budget and no sufficiently sparse "
-        "separation found",
-        {"gamma": gamma, "sparsity_bound": bound,
-         "best_sparsity": None if sep is None else sep.sparsity})
+        "separation found")
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +512,20 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
     """Peel sparse separations until the rest is light, or surface a flow.
 
     The peel's step is `flow_or_sparse_cut(sub, gamma)`.  The accumulated
-    separator has size at most CUT_CONSTANT * W^2 * ln(n) / gamma.
+    separator has size at most CUT_CONSTANT * W^2 * ln(n) / gamma, up to
+    the factor 1 + _REL_TOL.  Step i cuts the active subgraph at (A_i, B_i)
+    with B_i the lighter side, and its separator S_i = A_i & B_i has
+
+        |S_i| = sparsity_i * w(A_i) * w(B_i),
+        sparsity_i <= CUT_CONSTANT * ln(n) / gamma * (1 + _REL_TOL),
+
+    since the subgraph has at most n vertices.  B_i - A_i and S_i both
+    leave the active set, so the B_i are disjoint across steps: their
+    weights sum to at most W, each w(A_i) is at most W, and the sum of
+    w(A_i) * w(B_i) is at most W^2.  A component split has an empty
+    separator and adds nothing.
     """
-    res = _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma))
-    if isinstance(res, HeavyFlowResult):
-        return res
-    total = g.total_weight
-    # a peel needs two positive vertices, so n >= 2 and log(n) > 0 here
-    cap = CUT_CONSTANT * total * total * math.log(g.n) / gamma
-    if len(res.separator) > cap * (1 + _REL_TOL) + 1e-9:
-        raise GraphError(
-            f"separator size {len(res.separator)} exceeds the bound "
-            f"{cap:.3f}")
-    return res
+    return _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma))
 
 
 def _sweep_cut(g: WeightedGraph) -> Separation:
@@ -562,7 +549,7 @@ def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
 
     The peel's step is the component split, or else the plain sweep's
     sparsest cut, so no congestion budget is involved.  Weights must keep
-    products of two sums within range (see `_default_quotient_oracle`).
+    products of two sums within range (see `induced_minor_separator`).
 
     Against `balanced_separator_or_flow` at the budget gamma where it first
     returns a separator: there no step returned a flow, so each step's cut

@@ -325,7 +325,9 @@ def make_separation(g: WeightedGraph, side_a: Iterable[int],
     wb = g.weight_of(b)
     if wa <= 0 or wb <= 0:
         raise GraphError("both sides of a separation need positive weight")
-    alpha = len(a & b) / (wa * wb)
+    cut = len(a & b)
+    # w(A) w(B) may underflow to 0; an empty separator is sparsity 0 anyway
+    alpha = cut / (wa * wb) if cut else 0.0
     return Separation(a, b, alpha)
 
 

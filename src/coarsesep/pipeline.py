@@ -14,7 +14,8 @@ the host into a small weighted quotient, a flow/cut loop either peels off
 a balanced separator (whose clusters become the certificate) or surfaces
 a concurrent flow on a heavy part, and the flow is rounded into branch
 sets by independent sampling.  Fatness above 3 is reduced to the core on
-the d-th graph power.
+the d-th graph power.  Each entry point verifies its certificate once, on
+the caller's graph, where it returns it.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     return g, 1.0
 
 
-def core_3fat(g: WeightedGraph, pattern: PatternGraph,
-              config: PipelineConfig | None = None
-              ) -> SeparatorFound | ModelFound | PipelineFailure:
+def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
+               config: PipelineConfig | None = None
+               ) -> SeparatorFound | ModelFound | PipelineFailure:
     """Balanced separator certificate or 3-fat model of the pattern.
 
     Certificates use balls of radius at most ceil(32 / eps).  The pattern
@@ -203,8 +204,9 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     and sparsity only rescale with W, and uniform weights become exactly 1,
     so at any scale from 1e-300 to 1e300 they give the unit-weight answer
     (unit weights are used as they are).  `congestion_override` and the
-    reported `gamma` scale as W^2 and are in the caller's scale;
-    certificates are verified on `g`.
+    reported `gamma` scale as W^2 and are in the caller's scale.
+    Certificates come back unverified: `coarse_separator_or_model` checks
+    them on its own graph.
 
     At the paper's gamma the rounding branch needs quotients far larger
     than this pure-Python code reaches.  A flow needs gamma at least the
@@ -219,10 +221,10 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
         raise GraphError(f"trials must be nonnegative, got {config.trials}")
     if pattern.n == 0:
         return ModelFound(FatModel(3, {}, {}), "degenerate")
-    if g.n == 0 or g.total_weight <= 0:
+    if g.total_weight <= 0:
         # nothing carries weight, so the empty separator is balanced
-        return _checked(g, SeparatorCertificate(frozenset(), (), 0),
-                        "degenerate", None)
+        return SeparatorFound(SeparatorCertificate(frozenset(), (), 0),
+                              "degenerate")
     if pattern.n == 1:
         return ModelFound(FatModel(3, {0: frozenset({0})}, {}), "degenerate")
 
@@ -247,7 +249,7 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
     outcome = balanced_separator_or_flow(q.graph, gamma)
     if isinstance(outcome, BalancedSeparatorResult):
         cert = _certificate_from_clusters(host, part, outcome.separator)
-        return _checked(g, cert, "peeling", reported)
+        return SeparatorFound(cert, "peeling", reported)
 
     # a flow survived on a heavy set of clusters
     heavy: HeavyFlowResult = outcome
@@ -266,7 +268,7 @@ def core_3fat(g: WeightedGraph, pattern: PatternGraph,
         ids = set(heavy.separator)
         ids.update(heavy.vertices[x] for x in heavy_local)
         cert = _certificate_from_clusters(host, part, ids)
-        return _checked(g, cert, "heavy-clusters", reported)
+        return SeparatorFound(cert, "heavy-clusters", reported)
     return _round_flow_to_model(host, pattern, aug, sub, q, close, heavy,
                                 light_local, config, rng, reported)
 
@@ -286,38 +288,29 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
     there converts to a d-fat model here, and a certificate keeps its
     separator while its radius is re-measured in this graph (one power
     hop is at most d hops, so the radius stays within d * ceil(32/eps)).
-    The core decides the weight scale (see `core_3fat`); certificates are
-    verified on `g`.
+    The core decides the weight scale (see `_core_3fat`); a certificate is
+    verified once, on `g`.
     """
     if fatness < 1:
         raise GraphError("fatness must be at least 1")
-    if fatness <= 3:
-        return core_3fat(g, pattern, config)
-    g_d = power(g, fatness)
-    res = core_3fat(g_d, pattern, config)
-    if isinstance(res, ModelFound):
-        model = power_model_to_base(g, g_d, pattern, res.model, fatness)
-        return ModelFound(model, res.branch, res.gamma)
+    g_core = g if fatness <= 3 else power(g, fatness)
+    res = _core_3fat(g_core, pattern, config)
     if isinstance(res, PipelineFailure):
         return res
+    if isinstance(res, ModelFound):
+        if g_core is g:
+            return res
+        model = power_model_to_base(g, g_core, pattern, res.model, fatness)
+        return ModelFound(model, res.branch, res.gamma)
     cert = res.certificate
-    radius = coverage_radius(g, cert.separator, cert.centers)
-    cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
+    if g_core is not g:
+        radius = coverage_radius(g, cert.separator, cert.centers)
+        cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
     return _checked(g, cert, res.branch, res.gamma)
 
 
 # ---------------------------------------------------------------------------
 # Separators through star quotients
-
-
-def _default_quotient_oracle(qg: WeightedGraph) -> Iterable[int]:
-    if sum(1 for w in qg.weights if w > 0) < 2:
-        return range(qg.n)
-    # an exact power-of-two rescale brings the heaviest weight into [1, 2),
-    # so the sweep's products of side weights neither underflow nor overflow
-    shift = 1 - math.frexp(max(qg.weights))[1]
-    scaled = qg.with_weights([math.ldexp(w, shift) for w in qg.weights])
-    return sorted(balanced_separator_by_sweeps(scaled).separator)
 
 
 def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
@@ -329,19 +322,23 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     separator comes from peeling sweep cuts of the quotient
     (`balanced_separator_by_sweeps`, with no congestion budget or
     routing).  The quotient carries the weights divided by the heaviest
-    one, so uniform weights at any scale give the unit-weight answer.  The
-    separator's balance is checked once, when the certificate is verified
-    on `g`, since the components of G - S are unions of whole stars.
+    one, so its heaviest weight lies in [1, n]: the sweep's products of
+    side weights stay in the float range, and uniform weights at any scale
+    give the unit-weight answer.  The separator's balance is checked once,
+    when the certificate is verified on `g`, since the components of G - S
+    are unions of whole stars.
     """
-    if g.n == 0:
+    if g.total_weight <= 0:
+        # nothing carries weight, so the empty separator is balanced
         return SeparatorCertificate(frozenset(), (), 0)
     part, q = star_partition(_heaviest_weight_one(g)[0])
     sep: set[int] = set()
     centers = []
-    for i in _default_quotient_oracle(q.graph):  # no id repeats
+    # in id order: a set's repr follows the order its members went in
+    for i in sorted(balanced_separator_by_sweeps(q.graph).separator):
         sep.update(part.clusters[i])
         centers.append(part.centers[i])
-    radius = coverage_radius(g, sep, centers) if sep else 0
+    radius = coverage_radius(g, sep, centers)
     cert = SeparatorCertificate(frozenset(sep), tuple(sorted(centers)),
                                 int(radius))
     found = _checked(g, cert, "star-quotient", None)

@@ -367,20 +367,15 @@ def test_every_bfs_order_starts_inside_the_positives_component():
         assert _sweep_order(g, order, g.total_weight) is not None
 
 
-def test_each_distinct_order_is_swept_once(monkeypatch):
-    # with equal weights both weight orders are plain id order
-    g = grid_graph(5)
-    orders = _cut_orders(g)
-    assert orders.count(list(range(g.n))) == 2
-    swept = []
-
-    def recording(g, order, total):
-        swept.append(order)
-        return _sweep_order(g, order, total)
-
-    monkeypatch.setattr(flow_module, "_sweep_order", recording)
-    flow_module._best_sweep_separation(g)
-    assert sorted(swept) == sorted(map(list, {tuple(o) for o in orders}))
+def test_an_empty_separator_has_sparsity_zero_at_any_weight():
+    # w(A) w(B) = 1e-400 underflows to 0; the component split's empty
+    # separator still has sparsity 0, with no division
+    g = WeightedGraph(2, [], [1e-200, 1e-200])
+    assert make_separation(g, {0}, {1}).sparsity == 0.0
+    res = flow_or_sparse_cut(g, 1.0)
+    assert isinstance(res, Separation)
+    assert res.separator == frozenset()
+    assert res.sparsity == 0.0
 
 
 def test_sweep_stops_before_the_last_positive_vertex():

@@ -360,6 +360,19 @@ def test_cli_flowcut_answers_small_demands_inside_the_window(tmp_path,
     assert data["sparsity"] <= 64.0 * math.log(15) / 215207.89
 
 
+def test_cli_flowcut_splits_components_whose_weight_product_underflows(
+        tmp_path, capsys):
+    # w(A) w(B) = 1e-400 underflows to 0 in the component split
+    gpath = tmp_path / "two.txt"
+    wpath = tmp_path / "two.w"
+    gpath.write_text("2 0\n")
+    wpath.write_text("0 1e-200\n1 1e-200\n")
+    code, out, err = run_cli(capsys, "flowcut", str(gpath), "--weights",
+                             str(wpath), "--gamma", "1")
+    assert (code, out, err) == (
+        0, "cut with separator size 0, sparsity 0\n", "")
+
+
 def test_cli_flowcut_rejects_nan_gamma(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(path))
