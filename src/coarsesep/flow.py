@@ -34,9 +34,13 @@ One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
 weighs less than W/2.  `balanced_separator_or_flow` steps with the
 dichotomy and ends with either a balanced separator of the whole graph or
-a flow on a still-heavy induced subgraph.  `balanced_separator_by_sweeps`
-steps with the component split or the plain sweep alone; it needs no
-congestion budget and never routes.
+a flow on a still-heavy induced subgraph; each of its cuts must meet the
+sparsity bound, so each is the sparsest the sweep finds.
+`balanced_separator_by_sweeps` steps with the component split or the
+sweep alone; it needs no congestion budget and never routes.  Since only
+its final balance counts, each step takes a minimum bite (both sides hold
+at least _MIN_BITE of the active weight), and the separator is pruned
+afterwards: vertices go back while every component stays at most W/2.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ from .graph import (GraphError, Separation, WeightedGraph, bfs_distances,
 # c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
 # gap (Leighton and Rao, JACM 1999)
 CUT_CONSTANT = 64.0
+# share of the active weight each side of a sweep-only peel step must hold,
+# unless no prefix cut has two such sides
+_MIN_BITE = 0.05
 _REL_TOL = 1e-9
 
 
@@ -207,12 +214,15 @@ def _attempt_tree_flow(g: WeightedGraph, gamma: float
 # Cut search: prefix sweeps over vertex orders
 
 
-def _sweep_order(g: WeightedGraph, order: list[int], total: float
-                 ) -> tuple[float, int] | None:
+def _sweep_order(g: WeightedGraph, order: list[int], total: float,
+                 least: float = 0.0) -> tuple[float, int] | None:
     """Sparsest prefix cut of the order, as (sparsity, prefix length).
 
-    None when no prefix leaves positive weight on both sides.  The running
-    sums drift with float error, so the cut is recomputed before it is used.
+    Only cuts whose sides A = U + N(U) and B = V - U each weigh at least
+    `least` count; the sides are weighed only when a prefix beats the best
+    so far.  None when no prefix leaves positive weight (and `least`) on
+    both sides.  The running sums drift with float error, so the cut is
+    recomputed before it is used.
     """
     w = g.weights
     adj = g.adj
@@ -243,7 +253,7 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float
         wb = total - w_u
         if wa > 0 and wb > 0:
             alpha = s_count / (wa * wb)
-            if alpha < best_alpha:
+            if alpha < best_alpha and min(wa, wb) >= least:
                 best_alpha, best_len = alpha, length
     return (best_alpha, best_len) if best_len else None
 
@@ -309,8 +319,12 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
             if x < 0:
                 vec = [-y for y in vec]
             break
-    # a stable sort of the ascending ids breaks ties by id
-    return sorted(range(g.n), key=vec.__getitem__)
+    # Entries equal in exact arithmetic (leaves that an automorphism swaps)
+    # differ by rounding noise.  Snapped to a grid of 1e-9 max|x| they are
+    # equal, and a stable sort of the ascending ids puts them in id order.
+    step = 1e-9 * max(map(abs, vec))
+    key = [round(x / step) for x in vec]
+    return sorted(range(g.n), key=key.__getitem__)
 
 
 def _bfs_sources(g: WeightedGraph) -> list[int]:
@@ -351,14 +365,29 @@ def _cut_orders(g: WeightedGraph) -> list[list[int]]:
     return orders
 
 
-def _best_sweep_separation(g: WeightedGraph) -> Separation | None:
-    """Sparsest prefix cut over all orders; None when no order has one."""
+def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0
+                           ) -> Separation | None:
+    """Sparsest prefix cut over all orders; None when no order has one.
+
+    With a `bite`, only cuts whose sides each hold at least that share of
+    the weight count, and the orders are swept again without it only when
+    none has such a cut.  For a bite of at most 1/3 some prefix has such
+    sides in exact arithmetic, so the second sweep runs only where float
+    drift hides it.  With t a heaviest vertex, the weight-ascending
+    order's last prefix V - t has sides W and w(t); where w(t) <=
+    W - 2 bite W, the first prefix of any order whose side A reaches the
+    bite leaves its side B more than the bite.
+    """
     total = g.total_weight
+    orders = _cut_orders(g)
     best: tuple[float, list[int], int] | None = None
-    for order in _cut_orders(g):
-        hit = _sweep_order(g, order, total)
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = (hit[0], order, hit[1])
+    for least in (bite * total, 0.0) if bite else (0.0,):
+        for order in orders:
+            hit = _sweep_order(g, order, total, least)
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = (hit[0], order, hit[1])
+        if best is not None:
+            break
     return None if best is None else _prefix_separation(g, best[1], best[2])
 
 
@@ -431,9 +460,13 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
 
 @dataclass(frozen=True)
 class BalancedSeparatorResult:
-    """Union of peeled separators; every component of G - S weighs <= W/2.
+    """A separator S such that every component of G - S weighs <= W/2.
 
-    `steps` holds the sparsity of each peeled separation, in peel order.
+    `separator` is the union of the peeled separators, pruned after the
+    sweep-only peel.  `pieces` and `separator` partition V with no edge
+    between two pieces: the peeled pieces, or the components of G - S
+    after a prune.  `steps` holds the sparsity of each peeled separation,
+    in peel order.
     """
 
     separator: frozenset[int]
@@ -529,7 +562,12 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
 
 
 def _sweep_cut(g: WeightedGraph) -> Separation:
-    """The component split, or else the sparsest plain sweep cut."""
+    """The component split, or else the sparsest sweep cut of a fair bite.
+
+    The sweep takes the sparsest prefix cut whose sides each hold at least
+    _MIN_BITE of the weight, or the sparsest cut overall where no order
+    has one.
+    """
     split = _component_split(g)
     if split is not None:
         return split
@@ -541,22 +579,80 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     # the positives share a component, so a heaviest vertex t has a
     # neighbour, and the weight-ascending order's last prefix V - t is a
     # valid cut: the sweep never comes back empty here
-    return _best_sweep_separation(g)
+    return _best_sweep_separation(g, _MIN_BITE)
+
+
+def _pruned(g: WeightedGraph, separator: frozenset[int]) -> set[int]:
+    """Give separator vertices back while every component stays light.
+
+    Heaviest first, equal weights by id, a vertex leaves the separator
+    when the component of G - S it joins weighs at most W/2.  Components
+    only grow, so one pass leaves no vertex that could still go back.  A
+    union-find over the components keeps their weights, so the pass takes
+    O(sum of degrees) besides the near-constant finds.
+
+    A weight of exactly W/2 counts only where the sums are exact: integer
+    weights with W below 2^53.  Elsewhere a component must stay below
+    W/2 by the factor 1 - _REL_TOL, far more than the float error of its
+    running sum (about n 2^-53 relative).  `induced_minor_separator` needs
+    that margin too: it prunes a quotient whose weights were divided by
+    the heaviest one and summed per star, and verifies on the host.
+    """
+    w = g.weights
+    half = g.total_weight / 2.0
+    exact = g.total_weight < 2.0 ** 53 and all(x.is_integer() for x in w)
+    sep = set(separator)
+    comp = [-1] * g.n  # the component of each vertex outside sep
+    weight = []  # by component, read at the roots
+    for i, members in enumerate(connected_components(g, set(range(g.n)) - sep)):
+        for u in members:
+            comp[u] = i
+        weight.append(g.weight_of(members))
+    parent = list(range(len(weight)))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for v in sorted(sep, key=lambda x: (-w[x], x)):
+        roots = {find(comp[u]) for u in g.adj[v] if comp[u] >= 0}
+        joined = w[v] + sum(weight[r] for r in roots)
+        if not (joined < half * (1 - _REL_TOL) or exact and joined <= half):
+            continue
+        sep.remove(v)
+        root = len(parent)
+        parent.append(root)
+        weight.append(joined)
+        for r in roots:
+            parent[r] = root
+        comp[v] = root
+    return sep
 
 
 def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
     """A balanced separator from sweep cuts alone, with no routing.
 
-    The peel's step is the component split, or else the plain sweep's
-    sparsest cut, so no congestion budget is involved.  Weights must keep
-    products of two sums within range (see `induced_minor_separator`).
+    The peel's step is the component split, or else a sweep cut: the
+    sparsest prefix cut whose sides each hold at least _MIN_BITE of the
+    active weight, or the sparsest cut overall where no order has one.  No
+    congestion budget is involved, and no step has a sparsity bound to
+    meet; only the balance at the end counts.  A fair bite peels far fewer
+    crumbs (a leaf and its neighbour) and so runs fewer sweeps.  Weights
+    must keep products of two sums within range (see
+    `induced_minor_separator`).
 
-    Against `balanced_separator_or_flow` at the budget gamma where it first
-    returns a separator: there no step returned a flow, so each step's cut
-    was the component split or the plain sweep.  The sweep does not depend
-    on gamma, so the two peels agree on every host, with one exception:
-    where the active weight ends on one positive vertex, the dichotomy
-    returns the empty flow at every gamma, while this peel puts that vertex
-    into the separator.
+    The peel's separator is then pruned (`_pruned`): vertices go back,
+    heaviest first, while the component each one joins weighs at most W/2,
+    which wins back what the coarser steps cost.  The pruned set is a
+    subset of the peeled one, and every component of G - S still weighs at
+    most W/2, so the separator stays balanced and the caller's check of
+    the certificate still holds.  `pieces` are the components of G - S and
+    `steps` the sparsity of each peel step.
     """
-    return _peel(g, _sweep_cut)  # a sweep step never returns a flow
+    peeled = _peel(g, _sweep_cut)  # a sweep step never returns a flow
+    sep = _pruned(g, peeled.separator)
+    pieces = connected_components(g, set(range(g.n)) - sep)
+    return BalancedSeparatorResult(frozenset(sep),
+                                   tuple(tuple(p) for p in pieces),
+                                   peeled.steps)

@@ -319,11 +319,13 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     The star partition keeps the quotient small; any balanced separator of
     the quotient blows up to a balanced separator of the graph made of
     whole stars, so single-ball coverage is automatic.  The quotient
-    separator comes from peeling sweep cuts of the quotient
+    separator comes from peeling sweep cuts of the quotient, each with
+    both sides at least 5 % of the active weight, and then pruning it
     (`balanced_separator_by_sweeps`, with no congestion budget or
-    routing).  The quotient carries the weights divided by the heaviest
-    one, so its heaviest weight lies in [1, n]: the sweep's products of
-    side weights stay in the float range, and uniform weights at any scale
+    routing): stars go back while every component weighs at most W/2.
+    The quotient carries the weights divided by the heaviest one, so its
+    heaviest weight lies in [1, n]: the sweep's products of side weights
+    stay in the float range, and uniform weights at any scale
     give the unit-weight answer.  The separator's balance is checked once,
     when the certificate is verified on `g`, since the components of G - S
     are unions of whole stars.

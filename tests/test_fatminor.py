@@ -147,6 +147,16 @@ def test_verify_fat_model_missing_sets():
     assert "edge (0, 1) has no branch set" in report.violations
 
 
+def test_verify_fat_model_reports_every_out_of_range_vertex():
+    model = c12_triangle_model()
+    broken = FatModel(1, {**model.vertex_sets, 1: frozenset({12, -1})},
+                      model.edge_sets)
+    report = verify_fat_model(cycle_graph(12), K3, broken, 1)
+    assert sorted(report.violations) == [
+        "vertex 1 contains out-of-range vertex -1",
+        "vertex 1 contains out-of-range vertex 12"]
+
+
 def test_ensure_fat_model_raises_with_violations():
     with pytest.raises(ModelError) as exc:
         ensure_fat_model(cycle_graph(5), K2, FatModel(1, {}, {}), 1)
@@ -192,6 +202,28 @@ def test_crude_model_path_validation():
     bad[e2] = (3, 4, 5)
     report = verify_crude_model(g, sub, CrudeFatModel(1, vmap, bad), 1)
     assert any("does not join" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("change, violation", [
+    (lambda vmap, paths: vmap.pop(((0, 1), 1)),
+     "subdivision vertex ((0, 1), 1) unmapped"),
+    (lambda vmap, paths: paths.pop((((0, 1), 1), ((0, 1), 2))),
+     "subdivision edge (((0, 1), 1), ((0, 1), 2)) has no path"),
+    (lambda vmap, paths: paths.update({(((0, 1), 1), ((0, 1), 2)): ()}),
+     "edge (((0, 1), 1), ((0, 1), 2)) has an empty path"),
+    (lambda vmap, paths: paths.update(
+        {(((0, 1), 1), ((0, 1), 2)): (3, 4, 5, 4, 5, 6)}),
+     "path for (((0, 1), 1), ((0, 1), 2)) repeats a vertex"),
+], ids=["unmapped", "no-path", "empty-path", "repeating-path"])
+def test_crude_model_rejects_missing_and_malformed_paths(change, violation):
+    g = path_graph(10)
+    sub = two_subdivision(K2)
+    e1, e2, e3 = sub.edges
+    vmap = {e1[0]: 0, e1[1]: 3, e2[1]: 6, e3[1]: 9}
+    paths = {e1: (0, 1, 2, 3), e2: (3, 4, 5, 6), e3: (6, 7, 8, 9)}
+    change(vmap, paths)
+    report = verify_crude_model(g, sub, CrudeFatModel(1, vmap, paths), 1)
+    assert report.violations == (violation,)
 
 
 def test_crude_to_fat_merges_paths():

@@ -21,6 +21,7 @@ from coarsesep import (
     induced_minor_separator,
     make_separation,
     verify_certificate,
+    verify_separator,
 )
 from coarsesep.generators import (
     barbell_graph,
@@ -31,8 +32,10 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import (_cut_orders, _fiedler_order, _fiedler_vector,
-                            _sweep_order, _tree_congestion)
+from coarsesep.flow import (_MIN_BITE, _best_sweep_separation, _cut_orders,
+                            _fiedler_order, _fiedler_vector, _pruned,
+                            _sweep_cut, _sweep_order, _tree_congestion,
+                            balanced_separator_by_sweeps)
 from coarsesep.graph import bfs_tree
 
 
@@ -479,9 +482,10 @@ def test_fiedler_order_sweeps_as_well_as_eigh(g):
 
 
 # Leaves of one vertex, which an automorphism swaps, have Fiedler entries
-# that are equal in exact arithmetic.  The stable sort breaks only bitwise
-# ties by id, so their order is left to rounding, and it differs between
-# LAPACK routines.  That is why the property above draws unit weights.
+# that are equal in exact arithmetic but differ by rounding noise, and the
+# noise differs between LAPACK routines.  `_fiedler_order` snaps the entries
+# to a grid before its stable sort, so such leaves go in id order.  The
+# property above draws unit weights, where their order decides nothing.
 _TIED_LEAVES_TREE = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 5)]
 
 
@@ -491,15 +495,13 @@ def test_tied_fiedler_entries_decide_the_weighted_sweep():
     leaves = [2, 3, 4, 6]
     assert max(x[leaves]) - min(x[leaves]) <= 1e-12
     order = _fiedler_order(g)
-    assert order[:3] == [5, 1, 0] and sorted(order[3:]) == leaves
-    # The tied leaves in id order, as the solve gave them, and in the order
-    # dense eigh gave them: their best sweep cuts differ, 1 against 3.
+    assert order == [5, 1, 0] + leaves
+    # The tied leaves in id order, and in the order dense eigh gave them:
+    # their best sweep cuts differ, 1 against 3.
     assert _best_sweep_of(g, [5, 1, 0, 2, 3, 4, 6]) == 1.0
     assert _best_sweep_of(g, [5, 1, 0, 3, 6, 4, 2]) == 3.0
 
 
-@pytest.mark.xfail(strict=False, reason="entries equal in exact arithmetic "
-                   "are ordered by rounding noise, not by id")
 def test_tied_fiedler_entries_go_in_id_order():
     # leaves 3 and 7 of vertex 1, and 5 and 6 of vertex 4, tie
     g = WeightedGraph(8, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5), (4, 6),
@@ -708,14 +710,14 @@ def test_sweep_order_finds_the_sparsest_prefix_cut(host_order):
 
 
 def test_induced_gnp_routes_only_where_no_cut_rules_a_flow_out(monkeypatch):
-    # The certificate is the one found before the sweep certificate existed,
-    # when the same call made 21 tree-routing attempts.  The star-quotient
-    # oracle now peels sweep cuts alone, so it never routes.
+    # The same call once made 21 tree-routing attempts.  The star-quotient
+    # path peels sweep cuts alone, so it never routes.  The certificate is
+    # the one of the peel with a minimum bite and a prune.
     _, routed = _recording(monkeypatch, "_attempt_tree_flow")
     cert = induced_minor_separator(gnp_graph(150, 4 / 150, seed=0))
-    expected = (3, 4, 6, 9, 11, 12, 16, 17, 21, 27, 28, 32, 37, 46, 49, 56,
-                59, 63, 78, 80, 83, 95, 96, 99, 101, 102, 105, 107, 110, 118,
-                119, 129, 147)
+    expected = (3, 4, 6, 8, 11, 12, 17, 23, 27, 28, 30, 39, 42, 56, 59, 63,
+                74, 76, 78, 79, 80, 83, 87, 95, 99, 102, 105, 107, 108, 114,
+                118, 119, 145, 148)
     assert tuple(sorted(cert.separator)) == expected
     assert cert.centers == expected
     assert cert.radius == 0
@@ -792,3 +794,84 @@ def test_loop_puts_majority_vertex_into_the_separator():
     for piece in res.pieces:
         covered.update(piece)
     assert covered == set(range(9))
+
+
+def _lollipop():
+    """K40 with a pendant leaf 40 on vertex 0, unit weights."""
+    return WeightedGraph(41, complete_graph(40).edges() + [(0, 40)])
+
+
+def _lighter_side(g, sep):
+    return min(g.weight_of(sep.side_a), g.weight_of(sep.side_b))
+
+
+def test_sweep_peel_step_takes_at_least_the_minimum_bite():
+    # The sparsest cut takes the leaf and its neighbour, a side of 2 of 41;
+    # the sweep peel's step holds out for sides of at least 5 % each.
+    g = _lollipop()
+    crumb = _best_sweep_separation(g)
+    assert _lighter_side(g, crumb) == 2.0
+    step = _sweep_cut(g)
+    assert _lighter_side(g, step) >= _MIN_BITE * g.total_weight
+    assert step.sparsity > crumb.sparsity
+
+
+@pytest.mark.parametrize("g", [_lollipop(), grid_graph(5), path_graph(2)],
+                         ids=["lollipop", "grid5", "K2"])
+def test_an_unmet_bite_falls_back_to_the_sparsest_cut(monkeypatch, g):
+    # A cut whose sides both hold the whole weight needs an empty prefix,
+    # so no order meets a bite of 1: every order is swept again without
+    # it, and the answer is the unrestricted sparsest cut.
+    want = _best_sweep_separation(g)
+    _, hits = _recording(monkeypatch, "_sweep_order")
+    assert _best_sweep_separation(g, 1.0) == want
+    k = len(_cut_orders(g))
+    assert len(hits) == 2 * k and hits[:k] == [None] * k
+
+
+@pytest.mark.parametrize("g, separator, pieces", [
+    (complete_graph(2), {1}, ((0,),)),
+    (WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 0.0, 1.0]), {2}, ((0, 1),)),
+])
+def test_sweep_peel_keeps_one_vertex_where_one_balances(g, separator, pieces):
+    # The peel cuts while the active weight is at least W/2, so it also cuts
+    # a last part of exactly W/2 and ends with two vertices.  The prune gives
+    # the first back: the component it joins weighs exactly W/2.
+    res = balanced_separator_by_sweeps(g)
+    assert res.separator == separator
+    assert res.pieces == pieces
+    assert verify_certificate(g, induced_minor_separator(g)).ok
+
+
+@pytest.mark.parametrize("weights, separator, kept", [
+    # integer weights sum exactly: vertex 0 alone weighs exactly W/2 and
+    # goes back, then 1 would join 0 and 2
+    ([1.0, 0.0, 1.0], {0, 1}, {1}),
+    # heaviest first, equal weights by id: 1 goes back, then neither 2 nor
+    # 0 can join it
+    ([1.0, 2.0, 2.0], {0, 1, 2}, {0, 2}),
+    # 0 and 2 go back well below W/2; 1 would join them both
+    ([1.0, 0.5, 1.0], {0, 1, 2}, {1}),
+    # Elsewhere a part must stay below W/2 by the float margin: 0 would
+    # weigh W/2 + 5e-13, and 1 would make a part of W/2 - 5e-13.
+    ([1 + 1e-12, 0.0, 1.0], {0, 1}, {0, 1}),
+])
+def test_prune_gives_back_only_what_keeps_every_part_light(weights, separator,
+                                                          kept):
+    g = WeightedGraph(3, [(0, 1), (1, 2)], weights)
+    assert _pruned(g, frozenset(separator)) == kept
+    assert verify_separator(g, kept, kept, 0).balanced
+
+
+@pytest.mark.parametrize("g", [
+    WeightedGraph(5, [(0, 1), (0, 3), (1, 2), (2, 3)],
+                  [0.3, 0.1, 0.2, 0.0, 0.0]),
+    WeightedGraph(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 3), (2, 3), (2, 5),
+                      (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)],
+                  [0.0, 0.2, 0.0, 0.0, 0.1, 0.3, 0.0]),
+], ids=["C4-and-isolated", "7-vertex"])
+def test_prune_of_a_rescaled_quotient_stays_balanced_on_the_host(g):
+    # Divided by 0.3, the weights 0.1 and 0.2 sum to exactly half of the
+    # quotient's weight, while on the host 0.1 + 0.2 exceeds 0.3 = W/2: a
+    # quotient tie must not count as balanced.
+    assert verify_certificate(g, induced_minor_separator(g)).ok

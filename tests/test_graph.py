@@ -23,11 +23,14 @@ from coarsesep import (
     verify_separator,
 )
 from coarsesep.generators import (
+    barbell_graph,
     complete_graph,
     cycle_graph,
     gnp_graph,
     grid_graph,
     path_graph,
+    random_regular_graph,
+    torus_graph,
 )
 from coarsesep.oracle import _distance_matrix
 
@@ -398,3 +401,30 @@ def test_layered_searches_match_all_pairs_distances(g, data):
     assert cover == sorted(set(cover)) and set(cover) <= within
     assert cover[:1] == sorted(within)[:1]
     assert all(min(dist[c][v] for c in cover) <= radius for v in within)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeightedGraph(-1), "vertex count must be nonnegative"),
+    (lambda: ball(path_graph(3), 0, -1), "radius must be nonnegative"),
+    (lambda: set_distance(path_graph(3), [], [0]), "nonempty sets"),
+    (lambda: power(path_graph(3), 0), "power exponent must be >= 1"),
+    (lambda: greedy_cover(path_graph(3), [0], -1),
+     "radius must be nonnegative"),
+    (lambda: quotient(path_graph(3), [[0, 5]]), "out-of-range vertex 5"),
+    (lambda: cycle_graph(2), "at least 3 vertices"),
+    (lambda: grid_graph(3, 0), "positive dimensions"),
+    (lambda: torus_graph(3, 2), "both dimensions at least 3"),
+    (lambda: gnp_graph(5, 1.5), "edge probability must lie in [0, 1]"),
+    (lambda: random_regular_graph(4, 4), "degree must lie in [1, n)"),
+    (lambda: random_regular_graph(5, 3), "n * degree must be even"),
+    # a 1-regular graph on 4 vertices is a matching, never connected
+    (lambda: random_regular_graph(4, 1), "no simple connected 1-regular"),
+    (lambda: barbell_graph(1), "at least 2 vertices"),
+    (lambda: barbell_graph(3, -1), "bridge length must be nonnegative"),
+], ids=["vertex-count", "ball-radius", "set-distance", "power", "cover-radius",
+        "quotient-range", "cycle", "grid", "torus", "gnp", "regular-degree",
+        "regular-parity", "regular-connected", "barbell-k", "barbell-bridge"])
+def test_argument_errors_name_the_argument(call, message):
+    with pytest.raises(GraphError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -1,6 +1,7 @@
 import pytest
 
 from coarsesep import (
+    FatModel,
     GraphError,
     PatternGraph,
     WeightedGraph,
@@ -121,3 +122,17 @@ def test_exact_searches_respect_cap():
         exact_sparsest_separation(path_graph(17))
     with pytest.raises(GraphError):
         exact_min_balanced_separator(path_graph(17))
+
+
+@pytest.mark.parametrize("call, expected", [
+    # an empty pattern embeds vacuously, even in an empty host
+    (lambda: brute_force_fat_minor(WeightedGraph(0), PatternGraph(0, []), 2),
+     FatModel(2, {}, {})),
+    (lambda: brute_force_fat_minor(WeightedGraph(0), K2, 1), None),
+    (lambda: exact_sparsest_separation(WeightedGraph(0)), None),
+    # no weight to put on either side
+    (lambda: exact_sparsest_separation(
+        WeightedGraph(3, [(0, 1)], [0.0, 0.0, 0.0])), None),
+], ids=["empty-pattern", "empty-host", "empty-graph", "weightless"])
+def test_empty_inputs_give_the_empty_answer(call, expected):
+    assert call() == expected

@@ -462,8 +462,8 @@ def test_induced_separator_empty_graph():
 
 
 def test_induced_separators_match_golden_digest():
-    # Captured when the default oracle still reran the flow/cut peel at a
-    # shrinking congestion budget; the sweep-only peel gives the same bytes.
+    # Captured when the sweep peel first took a minimum bite and pruned its
+    # separator, and tied Fiedler entries first went in id order.
     hosts = ([gnp_graph(150, 4 / 150, seed=s) for s in range(16)]
              + [grid_graph(10), cycle_graph(100), barbell_graph(10, 5)])
     digest = hashlib.sha256()
@@ -472,7 +472,21 @@ def test_induced_separators_match_golden_digest():
         digest.update(f"{sorted(cert.separator)}|{list(cert.centers)}|"
                       f"{cert.radius}\n".encode())
     assert digest.hexdigest() == (
-        "f65c8907865c03e18e2289c6da4d0f442ec571bf51c8cb92ae898dea0f83699a")
+        "caf115ed0c64dfa0573e6c99efa01b50a1fee53ea364f47393e84224e2bb0772")
+
+
+def test_sweep_peel_steps_and_size_on_the_golden_quotients():
+    # On the star quotients of the 16 gnp hosts above, the peel that took
+    # the sparsest cut at every step ran 183 steps for 531 separator
+    # vertices.  With the minimum bite and the prune it runs 116 for 485;
+    # crumb steps coming back would raise the first count.
+    steps = size = 0
+    for seed in range(16):
+        g = _heaviest_weight_one(gnp_graph(150, 4 / 150, seed=seed))[0]
+        res = balanced_separator_by_sweeps(star_partition(g)[1].graph)
+        steps += len(res.steps)
+        size += len(res.separator)
+    assert (steps, size) == (116, 485)
 
 
 @pytest.mark.parametrize("weights, separator", [
