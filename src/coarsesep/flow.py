@@ -320,10 +320,14 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
                 vec = [-y for y in vec]
             break
     # Entries equal in exact arithmetic (leaves that an automorphism swaps)
-    # differ by rounding noise.  Snapped to a grid of 1e-9 max|x| they are
-    # equal, and a stable sort of the ascending ids puts them in id order.
-    step = 1e-9 * max(map(abs, vec))
-    key = [round(x / step) for x in vec]
+    # differ by rounding noise.  A sorted entry within 1e-9 max|x| of the
+    # one before it shares its key, so a stable sort of the ascending ids
+    # puts each such run in id order.
+    tol = 1e-9 * max(map(abs, vec))
+    by_value = sorted(range(g.n), key=vec.__getitem__)
+    key = [0] * g.n
+    for prev, v in zip(by_value, by_value[1:]):
+        key[v] = key[prev] + (vec[v] - vec[prev] > tol)
     return sorted(range(g.n), key=key.__getitem__)
 
 
@@ -582,29 +586,26 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     return _best_sweep_separation(g, _MIN_BITE)
 
 
-def _pruned(g: WeightedGraph, separator: frozenset[int]) -> set[int]:
+def _pruned(g: WeightedGraph, separator: frozenset[int], ties: bool
+            ) -> tuple[set[int], list[list[int]]]:
     """Give separator vertices back while every component stays light.
 
     Heaviest first, equal weights by id, a vertex leaves the separator
-    when the component of G - S it joins weighs at most W/2.  Components
-    only grow, so one pass leaves no vertex that could still go back.  A
+    when the component of G - S it joins stays light: at most W/2 with
+    `ties`, at most W/2 times 1 - _REL_TOL without.  Components only
+    grow, so one pass leaves no vertex that could still go back.  A
     union-find over the components keeps their weights, so the pass takes
-    O(sum of degrees) besides the near-constant finds.
-
-    A weight of exactly W/2 counts only where the sums are exact: integer
-    weights with W below 2^53.  Elsewhere a component must stay below
-    W/2 by the factor 1 - _REL_TOL, far more than the float error of its
-    running sum (about n 2^-53 relative).  `induced_minor_separator` needs
-    that margin too: it prunes a quotient whose weights were divided by
-    the heaviest one and summed per star, and verifies on the host.
+    O(sum of degrees) besides the near-constant finds.  Returns the pruned
+    separator and the components of G - S, each sorted, by least vertex.
     """
     w = g.weights
     half = g.total_weight / 2.0
-    exact = g.total_weight < 2.0 ** 53 and all(x.is_integer() for x in w)
+    limit = half if ties else half * (1 - _REL_TOL)
     sep = set(separator)
     comp = [-1] * g.n  # the component of each vertex outside sep
     weight = []  # by component, read at the roots
-    for i, members in enumerate(connected_components(g, set(range(g.n)) - sep)):
+    outside = set(range(g.n)) - sep
+    for i, members in enumerate(connected_components(g, outside)):
         for u in members:
             comp[u] = i
         weight.append(g.weight_of(members))
@@ -618,7 +619,7 @@ def _pruned(g: WeightedGraph, separator: frozenset[int]) -> set[int]:
     for v in sorted(sep, key=lambda x: (-w[x], x)):
         roots = {find(comp[u]) for u in g.adj[v] if comp[u] >= 0}
         joined = w[v] + sum(weight[r] for r in roots)
-        if not (joined < half * (1 - _REL_TOL) or exact and joined <= half):
+        if joined > limit:
             continue
         sep.remove(v)
         root = len(parent)
@@ -627,10 +628,15 @@ def _pruned(g: WeightedGraph, separator: frozenset[int]) -> set[int]:
         for r in roots:
             parent[r] = root
         comp[v] = root
-    return sep
+    pieces: dict[int, list[int]] = {}
+    for v in range(g.n):
+        if v not in sep:
+            pieces.setdefault(find(comp[v]), []).append(v)
+    return sep, list(pieces.values())
 
 
-def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
+def balanced_separator_by_sweeps(g: WeightedGraph, *, ties: bool = False
+                                 ) -> BalancedSeparatorResult:
     """A balanced separator from sweep cuts alone, with no routing.
 
     The peel's step is the component split, or else a sweep cut: the
@@ -643,16 +649,21 @@ def balanced_separator_by_sweeps(g: WeightedGraph) -> BalancedSeparatorResult:
     `induced_minor_separator`).
 
     The peel's separator is then pruned (`_pruned`): vertices go back,
-    heaviest first, while the component each one joins weighs at most W/2,
-    which wins back what the coarser steps cost.  The pruned set is a
-    subset of the peeled one, and every component of G - S still weighs at
-    most W/2, so the separator stays balanced and the caller's check of
-    the certificate still holds.  `pieces` are the components of G - S and
-    `steps` the sparsity of each peel step.
+    heaviest first, while the component each one joins stays light, which
+    wins back what the coarser steps cost.  With `ties` a component of
+    exactly W/2 counts as light.  Pass it only where the sums are exact
+    (integer weights summing below 2^53) and the balance that counts is
+    this graph's.  Otherwise a component must stay within W/2 times
+    1 - _REL_TOL, a margin far more than the float error of its running sum
+    (about n 2^-53 relative), so a caller that rescales the weights and
+    checks balance on its own graph keeps the answer balanced there.
+
+    The pruned set is a subset of the peeled one, and every component of
+    G - S still weighs at most W/2.  `pieces` are the components of G - S
+    and `steps` the sparsity of each peel step.
     """
     peeled = _peel(g, _sweep_cut)  # a sweep step never returns a flow
-    sep = _pruned(g, peeled.separator)
-    pieces = connected_components(g, set(range(g.n)) - sep)
+    sep, pieces = _pruned(g, peeled.separator, ties)
     return BalancedSeparatorResult(frozenset(sep),
                                    tuple(tuple(p) for p in pieces),
                                    peeled.steps)

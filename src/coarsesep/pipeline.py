@@ -322,22 +322,31 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     separator comes from peeling sweep cuts of the quotient, each with
     both sides at least 5 % of the active weight, and then pruning it
     (`balanced_separator_by_sweeps`, with no congestion budget or
-    routing): stars go back while every component weighs at most W/2.
+    routing): stars go back while every component stays light.
     The quotient carries the weights divided by the heaviest one, so its
     heaviest weight lies in [1, n]: the sweep's products of side weights
     stay in the float range, and uniform weights at any scale
     give the unit-weight answer.  The separator's balance is checked once,
     when the certificate is verified on `g`, since the components of G - S
     are unions of whole stars.
+
+    A star's weight is the sum of its members' rescaled weights, so a
+    component of exactly W/2 on the quotient can weigh more than W/2 on
+    `g`.  Only where every rescaled weight is 0 or 1 (uniform weights) are
+    the quotient's sums exact counts, and the rounding of k times one
+    weight monotone in k; only there does the prune accept a tie.
     """
     if g.total_weight <= 0:
         # nothing carries weight, so the empty separator is balanced
         return SeparatorCertificate(frozenset(), (), 0)
-    part, q = star_partition(_heaviest_weight_one(g)[0])
+    host = _heaviest_weight_one(g)[0]
+    part, q = star_partition(host)
+    ties = all(x == 0.0 or x == 1.0 for x in host.weights)
+    res = balanced_separator_by_sweeps(q.graph, ties=ties)
     sep: set[int] = set()
     centers = []
     # in id order: a set's repr follows the order its members went in
-    for i in sorted(balanced_separator_by_sweeps(q.graph).separator):
+    for i in sorted(res.separator):
         sep.update(part.clusters[i])
         centers.append(part.centers[i])
     radius = coverage_radius(g, sep, centers)

@@ -483,9 +483,10 @@ def test_fiedler_order_sweeps_as_well_as_eigh(g):
 
 # Leaves of one vertex, which an automorphism swaps, have Fiedler entries
 # that are equal in exact arithmetic but differ by rounding noise, and the
-# noise differs between LAPACK routines.  `_fiedler_order` snaps the entries
-# to a grid before its stable sort, so such leaves go in id order.  The
-# property above draws unit weights, where their order decides nothing.
+# noise differs between LAPACK routines.  `_fiedler_order` gives a sorted
+# entry within 1e-9 max|x| of the one before it the same key before its
+# stable sort, so such leaves go in id order.  The property above draws
+# unit weights, where their order decides nothing.
 _TIED_LEAVES_TREE = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 5)]
 
 
@@ -509,6 +510,16 @@ def test_tied_fiedler_entries_go_in_id_order():
     order = _fiedler_order(g)
     assert order.index(3) < order.index(7)
     assert order.index(5) < order.index(6)
+
+
+def test_fiedler_ties_go_in_id_order_across_any_grid_boundary(monkeypatch):
+    # Entries 0 and 1 lie 1e-13 on either side of 4.5e-9, a cell boundary
+    # of a fixed 1e-9 grid, and entries 2 and 3 lie 4e-10 apart: each pair
+    # shares a key, so goes in id order.
+    import numpy as np
+    vec = np.array([4.5e-9 + 1e-13, 4.5e-9 - 1e-13, 0.5 + 4e-10, 0.5, -1.0])
+    monkeypatch.setattr(flow_module, "_fiedler_vector", lambda g: vec)
+    assert _fiedler_order(path_graph(5)) == [4, 0, 1, 2, 3]
 
 
 def _random_weighted_host(rng):
@@ -835,31 +846,37 @@ def test_an_unmet_bite_falls_back_to_the_sparsest_cut(monkeypatch, g):
 ])
 def test_sweep_peel_keeps_one_vertex_where_one_balances(g, separator, pieces):
     # The peel cuts while the active weight is at least W/2, so it also cuts
-    # a last part of exactly W/2 and ends with two vertices.  The prune gives
-    # the first back: the component it joins weighs exactly W/2.
-    res = balanced_separator_by_sweeps(g)
+    # a last part of exactly W/2 and ends with two vertices.  Where ties
+    # count, the prune gives the first back: the component it joins weighs
+    # exactly W/2.  Without them both stay.
+    res = balanced_separator_by_sweeps(g, ties=True)
     assert res.separator == separator
     assert res.pieces == pieces
+    assert len(balanced_separator_by_sweeps(g).separator) == 2
     assert verify_certificate(g, induced_minor_separator(g)).ok
 
 
-@pytest.mark.parametrize("weights, separator, kept", [
-    # integer weights sum exactly: vertex 0 alone weighs exactly W/2 and
-    # goes back, then 1 would join 0 and 2
-    ([1.0, 0.0, 1.0], {0, 1}, {1}),
+@pytest.mark.parametrize("weights, separator, ties, kept", [
+    # where ties count, vertex 0 alone weighs exactly W/2 and goes back,
+    # then 1 would join 0 and 2
+    ([1.0, 0.0, 1.0], {0, 1}, True, {1}),
+    # without them, neither goes back
+    ([1.0, 0.0, 1.0], {0, 1}, False, {0, 1}),
     # heaviest first, equal weights by id: 1 goes back, then neither 2 nor
     # 0 can join it
-    ([1.0, 2.0, 2.0], {0, 1, 2}, {0, 2}),
+    ([1.0, 2.0, 2.0], {0, 1, 2}, True, {0, 2}),
     # 0 and 2 go back well below W/2; 1 would join them both
-    ([1.0, 0.5, 1.0], {0, 1, 2}, {1}),
-    # Elsewhere a part must stay below W/2 by the float margin: 0 would
+    ([1.0, 0.5, 1.0], {0, 1, 2}, False, {1}),
+    # Without ties a part must stay below W/2 by the float margin: 0 would
     # weigh W/2 + 5e-13, and 1 would make a part of W/2 - 5e-13.
-    ([1 + 1e-12, 0.0, 1.0], {0, 1}, {0, 1}),
+    ([1 + 1e-12, 0.0, 1.0], {0, 1}, False, {0, 1}),
 ])
 def test_prune_gives_back_only_what_keeps_every_part_light(weights, separator,
-                                                          kept):
+                                                          ties, kept):
     g = WeightedGraph(3, [(0, 1), (1, 2)], weights)
-    assert _pruned(g, frozenset(separator)) == kept
+    sep, pieces = _pruned(g, frozenset(separator), ties)
+    assert sep == kept
+    assert pieces == connected_components(g, set(range(3)) - kept)
     assert verify_separator(g, kept, kept, 0).balanced
 
 
@@ -869,7 +886,12 @@ def test_prune_gives_back_only_what_keeps_every_part_light(weights, separator,
     WeightedGraph(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 3), (2, 3), (2, 5),
                       (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)],
                   [0.0, 0.2, 0.0, 0.0, 0.1, 0.3, 0.0]),
-], ids=["C4-and-isolated", "7-vertex"])
+    # two K7 joined by the edge (6, 7): each is one star, and the quotient
+    # weighs 1.0 on each, so its sums look exact
+    WeightedGraph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                       if u // 7 == v // 7] + [(6, 7)],
+                  [0.1, 0.2] + [0.0] * 11 + [0.3]),
+], ids=["C4-and-isolated", "7-vertex", "two-K7"])
 def test_prune_of_a_rescaled_quotient_stays_balanced_on_the_host(g):
     # Divided by 0.3, the weights 0.1 and 0.2 sum to exactly half of the
     # quotient's weight, while on the host 0.1 + 0.2 exceeds 0.3 = W/2: a
