@@ -107,12 +107,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_flowcut(args) -> int:
-    g = _load_graph(args)
-    try:
-        res = flow_or_sparse_cut(g, args.gamma)
-    except FlowCutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    res = flow_or_sparse_cut(_load_graph(args), args.gamma)
     if isinstance(res, ConcurrentFlow):
         obj = {"kind": "flow", "paths": res.path_count,
                "max_congestion": res.max_congestion()}
@@ -149,7 +144,7 @@ def _cmd_separate(args) -> int:
     else:
         human = (f"failure after {res.trials} trials "
                  f"(collisions {res.collision_failures}, spread "
-                 f"{res.spread_failures}, lifts {res.lift_failures})")
+                 f"{res.spread_failures})")
     _emit(args, obj, human)
     return 2 if isinstance(res, PipelineFailure) else 0
 
@@ -240,7 +235,9 @@ def _cmd_bench(args) -> int:
             writer.writerow([g.n, "separator", len(cert.separator),
                              len(cert.centers), cert.radius, runtime,
                              report.ok])
-        elif isinstance(res, ModelFound):
+        elif isinstance(res, ModelFound):  # pragma: no cover - see below
+            # no congestion override here, and the default budget needs about
+            # 50,000 clusters to round: at pure-Python sizes rows separate
             report = verify_fat_model(g, pat, res.model, args.fatness)
             writer.writerow([g.n, "model", "", "", "", runtime, report.ok])
         else:
@@ -373,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GraphError, OSError) as exc:
+    except (FormatError, GraphError, FlowCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

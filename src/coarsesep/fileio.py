@@ -250,7 +250,6 @@ def result_jsonable(res: PipelineResult) -> dict:
             "trials": res.trials,
             "collision_failures": res.collision_failures,
             "spread_failures": res.spread_failures,
-            "lift_failures": res.lift_failures,
         }
     return separator_jsonable(res.certificate)
 

@@ -7,7 +7,8 @@ gamma, between
   pair of positive-weight vertices) whose vertex congestion stays at or
   below gamma, and
 * a separation (A, B) whose sparsity |A n B| / (w(A) w(B)) is at most
-  CUT_CONSTANT * ln(n) / gamma.
+  CUT_CONSTANT * ln(n) / gamma (a nonempty A n B whose w(A) w(B)
+  underflows to 0 has sparsity inf).
 
 Cuts come from prefix sweeps of several vertex orders (BFS region growing,
 spectral, weight-ascending).  Either side is a valid answer, so a call does
@@ -32,7 +33,8 @@ they need, the total weight W and the heaviest vertex, from the host too.
 
 One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
-weighs less than W/2.  `balanced_separator_or_flow` steps with the
+weighs less than W/2; the components of G - S that its balance check
+finds are the result's pieces.  `balanced_separator_or_flow` steps with the
 dichotomy and ends with either a balanced separator of the whole graph or
 a flow on a still-heavy induced subgraph; each of its cuts must meet the
 sparsity bound, so each is the sparsest the sweep finds.
@@ -40,14 +42,15 @@ sparsity bound, so each is the sparsest the sweep finds.
 sweep alone; it needs no congestion budget and never routes.  Since only
 its final balance counts, each step takes a minimum bite (both sides hold
 at least _MIN_BITE of the active weight), and the separator is pruned
-afterwards: vertices go back while every component stays at most W/2.
+afterwards, starting from the peel's pieces: vertices go back while
+every component stays at most W/2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -221,8 +224,9 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float,
     Only cuts whose sides A = U + N(U) and B = V - U each weigh at least
     `least` count; the sides are weighed only when a prefix beats the best
     so far.  None when no prefix leaves positive weight (and `least`) on
-    both sides.  The running sums drift with float error, so the cut is
-    recomputed before it is used.
+    both sides; a cut whose sparsity overflows, or whose w(A) w(B)
+    underflows to 0, counts at sparsity inf.  The running sums drift with
+    float error, so the cut is recomputed before it is used.
     """
     w = g.weights
     adj = g.adj
@@ -252,8 +256,10 @@ def _sweep_order(g: WeightedGraph, order: list[int], total: float,
         wa = w_u + w_s
         wb = total - w_u
         if wa > 0 and wb > 0:
-            alpha = s_count / (wa * wb)
-            if alpha < best_alpha and min(wa, wb) >= least:
+            prod = wa * wb
+            alpha = s_count / prod if prod else math.inf if s_count else 0.0
+            if ((alpha < best_alpha or not best_len)
+                    and min(wa, wb) >= least):
                 best_alpha, best_len = alpha, length
     return (best_alpha, best_len) if best_len else None
 
@@ -370,17 +376,19 @@ def _cut_orders(g: WeightedGraph) -> list[list[int]]:
 
 
 def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0
-                           ) -> Separation | None:
-    """Sparsest prefix cut over all orders; None when no order has one.
+                           ) -> Separation:
+    """Sparsest prefix cut over all orders.
 
-    With a `bite`, only cuts whose sides each hold at least that share of
-    the weight count, and the orders are swept again without it only when
-    none has such a cut.  For a bite of at most 1/3 some prefix has such
-    sides in exact arithmetic, so the second sweep runs only where float
-    drift hides it.  With t a heaviest vertex, the weight-ascending
-    order's last prefix V - t has sides W and w(t); where w(t) <=
-    W - 2 bite W, the first prefix of any order whose side A reaches the
-    bite leaves its side B more than the bite.
+    Both callers pass hosts whose two or more positive vertices share a
+    component, so a heaviest vertex t has a neighbour and the
+    weight-ascending order's last prefix V - t is a cut, with sides W and
+    w(t).  With a `bite`, only cuts whose sides each hold at least that
+    share of the weight count, and the orders are swept again without it
+    only when none has such a cut.  For a bite of at most 1/3 some prefix
+    has such sides in exact arithmetic, so the second sweep runs only where
+    float drift hides it: where w(t) > W - 2 bite W the last prefix has
+    them, and otherwise the first prefix of any order whose side A reaches
+    the bite leaves its side B more than the bite.
     """
     total = g.total_weight
     orders = _cut_orders(g)
@@ -392,7 +400,7 @@ def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0
                 best = (hit[0], order, hit[1])
         if best is not None:
             break
-    return None if best is None else _prefix_separation(g, best[1], best[2])
+    return _prefix_separation(g, best[1], best[2])
 
 
 def _component_split(g: WeightedGraph) -> Separation | None:
@@ -450,7 +458,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # 2 w(t) W makes the bound exceed 32 ln(n) / (W w(t)).  Inside the
     # window it runs only after the tree flow missed gamma.
     sep = _best_sweep_separation(g)
-    if sep is not None and sep.sparsity <= bound * (1 + _REL_TOL):
+    if sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
 
     raise FlowCutError(
@@ -467,10 +475,9 @@ class BalancedSeparatorResult:
     """A separator S such that every component of G - S weighs <= W/2.
 
     `separator` is the union of the peeled separators, pruned after the
-    sweep-only peel.  `pieces` and `separator` partition V with no edge
-    between two pieces: the peeled pieces, or the components of G - S
-    after a prune.  `steps` holds the sparsity of each peeled separation,
-    in peel order.
+    sweep-only peel.  `pieces` are the components of G - S, each sorted,
+    by least vertex.  `steps` holds the sparsity of each peeled
+    separation, in peel order.
     """
 
     separator: frozenset[int]
@@ -502,16 +509,15 @@ def _peel(g: WeightedGraph,
     Every iteration applies `step` to the still-active induced subgraph.  A
     flow ends the loop with the active subgraph (its weight is still at
     least W/2); otherwise the lighter side of the separation is peeled off
-    and its separator accumulated.  The pieces and the separator partition
-    V with no edge between two pieces by construction: each step's sides
-    come from `make_separation`, which rejects sides that miss a vertex or
-    that an edge crosses, and the active set splits into A - B, A & B and
-    B - A.  Only the balance is checked before the result is returned.
+    and its separator accumulated.  Each step's sides come from
+    `make_separation`, which rejects sides that miss a vertex or that an
+    edge crosses, and the active set splits into A - B, A & B and B - A.
+    So each component of G - S lies in one peeled B - A or in the last
+    active set; the balance check finds them, and they are the pieces.
     """
     total = g.total_weight
     active = list(range(g.n))
     sep_acc: set[int] = set()
-    pieces: list[list[int]] = []
     steps: list[float] = []
     while g.weight_of(active) >= total / 2.0:
         sub, ids = induced_subgraph(g, active)
@@ -529,19 +535,16 @@ def _peel(g: WeightedGraph,
         b_set = set(side_b)
         steps.append(res.sparsity)
         sep_acc.update(a_set & b_set)
-        pieces.append(sorted(b_set - a_set))
         # make_separation gave both sides positive weight, so B is nonempty
         # and the active set shrinks on every step
         active = sorted(a_set - b_set)
-    pieces.append(sorted(active))
-    pieces = [p for p in pieces if p]
-    half = total / 2.0
-    for comp in connected_components(g, set(range(g.n)) - sep_acc):
-        if g.weight_of(comp) > half:
-            raise GraphError("peeled separator failed the balance check")
+    pieces = connected_components(g, set(range(g.n)) - sep_acc)
+    # a peeled piece B - A weighs at most w(B) <= w(A), and A is disjoint
+    # from it, so at most W/2; the last active set weighs less than W/2
+    if any(g.weight_of(c) > total / 2.0 for c in pieces):  # pragma: no cover
+        raise GraphError("peeled separator failed the balance check")
     return BalancedSeparatorResult(frozenset(sep_acc),
-                                   tuple(tuple(p) for p in pieces),
-                                   tuple(steps))
+                                   tuple(map(tuple, pieces)), tuple(steps))
 
 
 def balanced_separator_or_flow(g: WeightedGraph, gamma: float
@@ -580,16 +583,15 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     if len(positives) < 2:
         # one vertex carries all the active weight: it is the separator
         return make_separation(g, positives, range(g.n))
-    # the positives share a component, so a heaviest vertex t has a
-    # neighbour, and the weight-ascending order's last prefix V - t is a
-    # valid cut: the sweep never comes back empty here
     return _best_sweep_separation(g, _MIN_BITE)
 
 
-def _pruned(g: WeightedGraph, separator: frozenset[int], ties: bool
+def _pruned(g: WeightedGraph, separator: frozenset[int],
+            pieces: Sequence[Sequence[int]], ties: bool
             ) -> tuple[set[int], list[list[int]]]:
     """Give separator vertices back while every component stays light.
 
+    `pieces` are the components of G - S, as the peel found them.
     Heaviest first, equal weights by id, a vertex leaves the separator
     when the component of G - S it joins stays light: at most W/2 with
     `ties`, at most W/2 times 1 - _REL_TOL without.  Components only
@@ -604,8 +606,7 @@ def _pruned(g: WeightedGraph, separator: frozenset[int], ties: bool
     sep = set(separator)
     comp = [-1] * g.n  # the component of each vertex outside sep
     weight = []  # by component, read at the roots
-    outside = set(range(g.n)) - sep
-    for i, members in enumerate(connected_components(g, outside)):
+    for i, members in enumerate(pieces):
         for u in members:
             comp[u] = i
         weight.append(g.weight_of(members))
@@ -628,11 +629,11 @@ def _pruned(g: WeightedGraph, separator: frozenset[int], ties: bool
         for r in roots:
             parent[r] = root
         comp[v] = root
-    pieces: dict[int, list[int]] = {}
+    parts: dict[int, list[int]] = {}
     for v in range(g.n):
         if v not in sep:
-            pieces.setdefault(find(comp[v]), []).append(v)
-    return sep, list(pieces.values())
+            parts.setdefault(find(comp[v]), []).append(v)
+    return sep, list(parts.values())
 
 
 def balanced_separator_by_sweeps(g: WeightedGraph, *, ties: bool = False
@@ -663,7 +664,6 @@ def balanced_separator_by_sweeps(g: WeightedGraph, *, ties: bool = False
     and `steps` the sparsity of each peel step.
     """
     peeled = _peel(g, _sweep_cut)  # a sweep step never returns a flow
-    sep, pieces = _pruned(g, peeled.separator, ties)
-    return BalancedSeparatorResult(frozenset(sep),
-                                   tuple(tuple(p) for p in pieces),
+    sep, pieces = _pruned(g, peeled.separator, peeled.pieces, ties)
+    return BalancedSeparatorResult(frozenset(sep), tuple(map(tuple, pieces)),
                                    peeled.steps)

@@ -326,8 +326,8 @@ def make_separation(g: WeightedGraph, side_a: Iterable[int],
     if wa <= 0 or wb <= 0:
         raise GraphError("both sides of a separation need positive weight")
     cut = len(a & b)
-    # w(A) w(B) may underflow to 0; an empty separator is sparsity 0 anyway
-    alpha = cut / (wa * wb) if cut else 0.0
+    prod = wa * wb  # may underflow to 0: a nonempty separator is then inf
+    alpha = cut / prod if prod else math.inf if cut else 0.0
     return Separation(a, b, alpha)
 
 

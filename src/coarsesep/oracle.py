@@ -256,7 +256,8 @@ def exact_sparsest_separation(g: WeightedGraph) -> Separation | None:
             wb = ws + math.fsum(cw) - xa
             if wa <= 0 or wb <= 0:
                 continue
-            alpha = s_size / (wa * wb)
+            prod = wa * wb  # if it underflows, a nonempty cut is inf sparse
+            alpha = s_size / prod if prod else math.inf if s_size else 0.0
             if best is None or alpha < best[0]:
                 a_mask = s_mask
                 for i in range(len(comps)):

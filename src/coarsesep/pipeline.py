@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fatminor import (CrudeFatModel, FatModel, LiftError, PatternGraph,
+from .fatminor import (CrudeFatModel, FatModel, PatternGraph,
                        SubdividedPattern, crude_to_fat, ensure_no_isolated,
                        lift_model, power_model_to_base, restrict_model,
                        sample_crude_model, two_subdivision)
@@ -78,7 +78,6 @@ class PipelineFailure:
     trials: int
     collision_failures: int
     spread_failures: int
-    lift_failures: int
 
 
 PipelineResult = SeparatorFound | ModelFound | PipelineFailure
@@ -149,9 +148,17 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
                          heavy: HeavyFlowResult, population: list[int],
                          config: PipelineConfig, rng: random.Random,
                          gamma: float) -> ModelFound | PipelineFailure:
+    """Sample crude models from the flow until one survives, then lift it.
+
+    A trial fails by collision (two subdivision vertices on one cluster)
+    or by spread; one that passes both cannot fail to lift.  `aug` has no
+    isolated vertex, so each pair of branch sets that must stay 3 apart
+    comes from two subdivision edges with four distinct ends, whose
+    footprints `_spread_ok` found at quotient distance >= 3.  Lifting keeps
+    connectivity and only grows distances; `lift_model` checks the result.
+    """
     collisions = 0
     spread = 0
-    lifts = 0
     # the clusters under the flow host's local ids, so lifting relabels once
     clusters = [q.clusters[v] for v in heavy.vertices]
     for _ in range(config.trials):
@@ -164,15 +171,9 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
         if not _spread_ok(sub, crude, heavy.vertices, close):
             spread += 1
             continue
-        local = crude_to_fat(sub, crude)
-        try:
-            lifted = lift_model(g, clusters, aug, local, 3)
-        except LiftError:
-            lifts += 1
-            continue
+        lifted = lift_model(g, clusters, aug, crude_to_fat(sub, crude), 3)
         return ModelFound(restrict_model(lifted, pattern), "rounding", gamma)
-    return PipelineFailure("rounding", config.trials, collisions, spread,
-                           lifts)
+    return PipelineFailure("rounding", config.trials, collisions, spread)
 
 
 # ---------------------------------------------------------------------------

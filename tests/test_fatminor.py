@@ -10,6 +10,7 @@ from coarsesep import (
     CrudeFatModel,
     FatModel,
     GraphError,
+    LiftError,
     ModelError,
     PatternGraph,
     WeightedGraph,
@@ -18,6 +19,7 @@ from coarsesep import (
     ensure_no_isolated,
     flow_or_sparse_cut,
     lift_model,
+    make_separation,
     power,
     power_model_to_base,
     quotient,
@@ -269,6 +271,39 @@ def test_lift_model_blows_up_clusters():
     assert lifted.vertex_sets[1] == frozenset({6, 7})
     assert lifted.edge_sets[(0, 1)] == frozenset(range(8))
     assert verify_fat_model(g, K2, lifted, 3).ok
+
+
+_ADJACENT_IN_QUOTIENT = FatModel(3, {0: frozenset({0}), 1: frozenset({1})},
+                                 {(0, 1): frozenset({0, 1})})
+
+
+@pytest.mark.parametrize("call, outcome", [
+    # path(4) in clusters (0, 1), (2, 3) is K2: the lifted vertex sets touch
+    (lambda: lift_model(path_graph(4), [(0, 1), (2, 3)], K2,
+                        _ADJACENT_IN_QUOTIENT, 3),
+     (LiftError, "vertex 0 and vertex 1 are at distance 1 < 3")),
+    # the branch set {0, 1} is connected in the power, not in the base
+    (lambda: power_model_to_base(WeightedGraph(2), WeightedGraph(2, [(0, 1)]),
+                                 PatternGraph(1, []),
+                                 FatModel(3, {0: frozenset({0, 1})}, {}), 2),
+     (GraphError, "no path between 0 and 1")),
+    # an isolated pattern vertex has no path to merge: it keeps its image
+    (lambda: crude_to_fat(two_subdivision(PatternGraph(2, [])),
+                          CrudeFatModel(3, {0: 5, 1: 7}, {})),
+     FatModel(3, {0: frozenset({5}), 1: frozenset({7})}, {})),
+    (lambda: make_separation(WeightedGraph(2, [], [1.0, 0.0]), {0}, {1}),
+     (GraphError, "both sides of a separation need positive weight")),
+], ids=["lift-adjacent", "power-no-base-path", "crude-isolated",
+        "separation-weightless-side"])
+def test_public_calls_reach_their_checks(call, outcome):
+    # lines that no pipeline run reaches, each reached through a public call
+    if isinstance(outcome, FatModel):
+        assert call() == outcome
+        return
+    error, message = outcome
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
 
 
 def test_restrict_model_drops_augmented_edges():

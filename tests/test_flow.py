@@ -37,6 +37,7 @@ from coarsesep.flow import (_MIN_BITE, _best_sweep_separation, _cut_orders,
                             _sweep_cut, _sweep_order, _tree_congestion,
                             balanced_separator_by_sweeps)
 from coarsesep.graph import bfs_tree
+from coarsesep.oracle import exact_sparsest_separation
 
 
 def _bfs_tree(g, s):
@@ -379,6 +380,27 @@ def test_an_empty_separator_has_sparsity_zero_at_any_weight():
     assert isinstance(res, Separation)
     assert res.separator == frozenset()
     assert res.sparsity == 0.0
+
+
+def test_a_cut_whose_weight_product_underflows_has_sparsity_inf():
+    # 1e-200 * 1e-150 underflows to 0, so a cut that keeps both heavy ends
+    # on one side reads as infinitely sparse; the sweep and the oracle both
+    # find the cut that puts one heavy end on each side.
+    g = path_graph(6).with_weights([1e-200] * 4 + [1e-150] * 2)
+    assert make_separation(g, {0, 1, 2}, {2, 3, 4, 5}).sparsity == math.inf
+    res = flow_or_sparse_cut(g, 1e-300)
+    assert isinstance(res, Separation)
+    assert res.separator == frozenset({4})
+    want = exact_sparsest_separation(g)
+    assert want.separator == frozenset({4})
+    assert res.sparsity == want.sparsity == 1 / (2e-150 * 1e-150)
+    # Here every cut's sparsity overflows, and so does the bound: a cut of
+    # sparsity inf still counts, within it.
+    h = path_graph(3).with_weights([1e-156] * 3)
+    res = flow_or_sparse_cut(h, 1e-313)
+    assert isinstance(res, Separation)
+    assert (res.separator, res.sparsity) == (frozenset({1}), math.inf)
+    assert exact_sparsest_separation(h).sparsity == math.inf
 
 
 def test_sweep_stops_before_the_last_positive_vertex():
@@ -874,7 +896,8 @@ def test_sweep_peel_keeps_one_vertex_where_one_balances(g, separator, pieces):
 def test_prune_gives_back_only_what_keeps_every_part_light(weights, separator,
                                                           ties, kept):
     g = WeightedGraph(3, [(0, 1), (1, 2)], weights)
-    sep, pieces = _pruned(g, frozenset(separator), ties)
+    outside = connected_components(g, set(range(3)) - separator)
+    sep, pieces = _pruned(g, frozenset(separator), outside, ties)
     assert sep == kept
     assert pieces == connected_components(g, set(range(3)) - kept)
     assert verify_separator(g, kept, kept, 0).balanced

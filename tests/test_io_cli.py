@@ -15,6 +15,7 @@ from coarsesep import (FatModel, ModelFound, PatternGraph,
                        SeparatorCertificate, SeparatorFound, WeightedGraph,
                        verify_certificate)
 from coarsesep.cli import main
+from coarsesep.flow import FlowCutError
 from coarsesep.fileio import (
     FormatError,
     format_graph,
@@ -373,6 +374,25 @@ def test_cli_flowcut_splits_components_whose_weight_product_underflows(
         0, "cut with separator size 0, sparsity 0\n", "")
 
 
+@pytest.mark.parametrize("command, options, line", [
+    (["flowcut"], ["--gamma", "1e-300"],
+     "cut with separator size 1, sparsity 5e+299\n"),
+    (["oracle", "sparsest"], [], "sparsest separation has sparsity 5e+299\n"),
+], ids=["flowcut", "oracle-sparsest"])
+def test_cli_cuts_whose_weight_product_underflows(tmp_path, capsys,
+                                                  command, options, line):
+    # 1e-200 * 1e-150 underflows to 0: such a cut has sparsity inf, and
+    # the sparsest cut puts one heavy end on each side
+    gpath = tmp_path / "p6.txt"
+    wpath = tmp_path / "p6.w"
+    write_graph(path_graph(6), str(gpath))
+    wpath.write_text("".join(f"{v} {x}\n" for v, x in
+                             enumerate(["1e-200"] * 4 + ["1e-150"] * 2)))
+    code, out, err = run_cli(capsys, *command, str(gpath), "--weights",
+                             str(wpath), *options)
+    assert (code, out, err) == (0, line, "")
+
+
 def test_cli_flowcut_rejects_nan_gamma(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(path))
@@ -439,12 +459,12 @@ def test_cli_separate_failure_is_exit_two(tmp_path, capsys):
     args = _path_k2_rounding_args(tmp_path) + ["--trials", "0"]
     code, out, err = run_cli(capsys, "separate", *args)
     assert code == 2 and err == ""
-    assert out == "failure after 0 trials (collisions 0, spread 0, lifts 0)\n"
+    assert out == "failure after 0 trials (collisions 0, spread 0)\n"
     code, out, _ = run_cli(capsys, "separate", *args, "--json")
     assert code == 2
     assert json.loads(out) == {
         "result": "failure", "stage": "rounding", "trials": 0,
-        "collision_failures": 0, "spread_failures": 0, "lift_failures": 0}
+        "collision_failures": 0, "spread_failures": 0}
 
 
 def test_cli_separate_rejects_negative_trials(tmp_path, capsys):
@@ -515,6 +535,32 @@ def test_cli_oracle_exit_codes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "balanced", str(gpath), "--json")
     assert code == 0
     assert json.loads(out) == {"separator": [1]}
+
+
+def test_cli_oracle_error_exits(tmp_path, capsys):
+    gpath = tmp_path / "p3.txt"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(gpath))
+    code, out, err = run_cli(capsys, "oracle", "fatminor", str(gpath))
+    assert (code, out, err) == (
+        2, "", "error: oracle fatminor needs --pattern\n")
+    # no vertex, so no weight to put on either side
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    code, out, err = run_cli(capsys, "oracle", "sparsest", str(empty))
+    assert (code, out, err) == (2, "no separation exists\n", "")
+
+
+def test_cli_flowcut_error_is_exit_two(tmp_path, capsys, monkeypatch):
+    # A stand-in for the dichotomy: the one known host that raises it,
+    # hub(400) inside the window, is on ROADMAP Direction 9 to be mended.
+    def no_answer(g, gamma):
+        raise FlowCutError("no flow and no cut")
+
+    monkeypatch.setattr("coarsesep.cli.flow_or_sparse_cut", no_answer)
+    gpath = tmp_path / "p3.txt"
+    write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(gpath))
+    code, out, err = run_cli(capsys, "flowcut", str(gpath), "--gamma", "1")
+    assert (code, out, err) == (2, "", "error: no flow and no cut\n")
 
 
 def test_cli_induced_sep(tmp_path, capsys):

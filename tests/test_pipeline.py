@@ -190,7 +190,7 @@ def test_power_reduction_turns_a_rounded_model_into_a_base_model():
     assert verify_fat_model(g, K2, res.model, 5).ok
     cfg.trials = 0
     res = coarse_separator_or_model(g, K2, 5, cfg)
-    assert res == PipelineFailure("rounding", 0, 0, 0, 0)
+    assert res == PipelineFailure("rounding", 0, 0, 0)
 
 
 def test_override_rounds_flow_into_model():
@@ -209,8 +209,7 @@ def test_override_single_trial_can_fail():
     assert isinstance(res, PipelineFailure)
     assert res.stage == "rounding"
     assert res.trials == 1
-    assert (res.collision_failures + res.spread_failures
-            + res.lift_failures) == 1
+    assert res.collision_failures + res.spread_failures == 1
 
 
 def _hub(a):
@@ -239,14 +238,30 @@ def test_hub_inside_the_window_gets_a_flow_or_a_cut():
         assert res.sparsity <= 64.0 * math.log(801) / gamma * (1 + 1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=GraphError,
+                   reason="ROADMAP Direction 5: balance is decided on the "
+                          "weights divided by the heaviest one")
+@pytest.mark.parametrize("solve", [
+    induced_minor_separator,
+    lambda g: coarse_separator_or_model(
+        g, K3, 3, PipelineConfig(eps=0.5)).certificate,
+], ids=["induced", "pipeline"])
+def test_a_tie_on_rescaled_weights_gives_a_verified_certificate(solve):
+    # Divided by 0.3, the weights 0.1 and 0.2 sum to exactly 1 = W/2, so
+    # the component {1, 2} counts as light; on the host 0.1 + 0.2 =
+    # 0.30000000000000004 exceeds W/2 = 0.3, and the certificate check
+    # raises "certificate failed verification".
+    g = WeightedGraph(3, [(1, 2)], [0.3, 0.1, 0.2])
+    assert verify_certificate(g, solve(g)).ok
+
+
 def test_default_trials_can_all_fail():
     # a real failure, not one forced by trials=0: all 64 default rounding
     # trials fail, by collision or by spread
     cfg = PipelineConfig(eps=0.5, seed=0, congestion_override=0.05 * 801 ** 2)
     res = coarse_separator_or_model(_hub(400), K2, 1, cfg)
-    assert res == PipelineFailure("rounding", 64, 9, 55, 0)
-    assert (res.collision_failures + res.spread_failures
-            + res.lift_failures) == res.trials
+    assert res == PipelineFailure("rounding", 64, 9, 55)
+    assert res.collision_failures + res.spread_failures == res.trials
 
 
 @pytest.mark.parametrize("pattern", [PatternGraph(0, []), K2])
@@ -660,5 +675,4 @@ def test_outputs_verify_under_any_congestion_override(run):
     else:
         assert isinstance(res, PipelineFailure)
         assert res.stage == "rounding"
-        assert (res.collision_failures + res.spread_failures
-                + res.lift_failures) == res.trials == 8
+        assert res.collision_failures + res.spread_failures == res.trials == 8

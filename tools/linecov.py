@@ -6,8 +6,10 @@ Usage (from the root of a checkout):
 
 The plugin traces the test process with `sys.settrace` and, at the end of
 the run, lists per module the executable lines of `src/coarsesep` that
-never ran.  It is loaded only by `-p linecov`; the test suite does not
-collect `tools/`.  Tracing makes a full run about five times slower.
+never ran.  If any did, the run fails (exit status 1), so the full suite
+passes under it only when every line runs or is marked.  It is loaded
+only by `-p linecov`; the test suite does not collect `tools/`.  Tracing
+makes a full run about five times slower.
 
 What it cannot see: code run in a subprocess (the tests that start
 `python -c`) and code run in other threads.  A line marked
@@ -20,6 +22,8 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coarsesep"
 _PRAGMA = "# pragma: no cover"
@@ -63,6 +67,7 @@ class LineCoverage:
         self.hits: dict[str, set[int]] = {}
         # code object -> the line tracer of its file, None outside root
         self._tracers: dict[object, object] = {}
+        self.report: dict[str, list[int]] = {}
 
     def _line_tracer(self, name: str):
         add = self.hits.setdefault(name, set()).add
@@ -104,19 +109,35 @@ class LineCoverage:
 
     # pytest hooks, active once `pytest_configure` registers the object
 
+    def pytest_runtest_setup(self, item) -> None:
+        # an exception inside the tracer, such as the RecursionError of a
+        # test that nests past the recursion limit, switches tracing off
+        if sys.gettrace() is None:
+            self.start()
+
     def pytest_unconfigure(self, config) -> None:
         self.stop()
 
-    def pytest_terminal_summary(self, terminalreporter) -> None:
+    def pytest_sessionfinish(self, session, exitstatus) -> None:
+        # runs before the terminal summary, and its exit status is the run's
         self.stop()
+        self.report = self.unexecuted()
+        if exitstatus == pytest.ExitCode.OK and any(self.report.values()):
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+    def pytest_terminal_summary(self, terminalreporter) -> None:
         terminalreporter.section(f"unexecuted lines of {self.root.name}")
         total = 0
-        for name, missed in self.unexecuted().items():
+        for name, missed in self.report.items():
             total += len(missed)
             terminalreporter.write_line(
                 f"{name}: {len(missed)}"
                 + (f"  {_ranges(missed)}" if missed else ""))
         terminalreporter.write_line(f"total: {total}")
+        if total:
+            terminalreporter.write_line(
+                "line coverage failed: every line must run or be marked "
+                f"'{_PRAGMA}' with a reason", red=True)
 
 
 def pytest_configure(config) -> None:
