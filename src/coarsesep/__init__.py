@@ -8,8 +8,8 @@ entry point; the submodules expose the building blocks (partitions, the
 flow/cut dichotomy, model verification) and exhaustive oracles for tests.
 """
 
-from .fatminor import (CrudeFatModel, FatModel, LiftError, ModelError,
-                       ModelReport, PatternGraph, SubdividedPattern,
+from .fatminor import (CrudeFatModel, FatModel, ModelError, ModelReport,
+                       PatternGraph, SubdividedPattern,
                        crude_to_fat, ensure_fat_model, ensure_no_isolated,
                        lift_model, power_model_to_base, restrict_model,
                        sample_crude_model, two_subdivision,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BalancedSeparatorResult", "ClusterClosePairs", "ConcurrentFlow",
     "ConnectedPartition", "CrudeFatModel", "FatModel", "FlowCutError",
-    "FlowError", "GraphError", "HeavyFlowResult", "LiftError", "ModelError",
+    "FlowError", "GraphError", "HeavyFlowResult", "ModelError",
     "ModelFound", "ModelReport", "PatternGraph", "PipelineConfig",
     "PipelineFailure", "QuotientGraph", "Separation", "SeparatorCertificate",
     "SeparatorFound", "SeparatorReport", "SubdividedPattern", "WeightedGraph",

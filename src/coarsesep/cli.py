@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -33,10 +34,13 @@ from .pipeline import (ModelFound, PipelineConfig, PipelineFailure,
                        induced_minor_separator)
 
 
-def _emit(args, obj, human: str) -> None:
+def _emit(args, obj: dict, human: str) -> None:
     """Print `obj` as JSON under --json, else `human` unless --quiet."""
     if args.json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        # strict JSON: a non-finite float (an underflowing cut's inf) is null
+        obj = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in obj.items()}
+        print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
     elif not args.quiet:
         print(human)
 
@@ -229,17 +233,15 @@ def _cmd_bench(args) -> int:
         res = coarse_separator_or_model(g, pat, args.fatness, config)
         elapsed = time.perf_counter() - start
         runtime = f"{elapsed:.3f}" if args.timings else ""
+        # the pipeline verified every answer it returned, on g
         if isinstance(res, SeparatorFound):
             cert = res.certificate
-            report = verify_certificate(g, cert)
             writer.writerow([g.n, "separator", len(cert.separator),
-                             len(cert.centers), cert.radius, runtime,
-                             report.ok])
+                             len(cert.centers), cert.radius, runtime, True])
         elif isinstance(res, ModelFound):  # pragma: no cover - see below
             # no congestion override here, and the default budget needs about
             # 50,000 clusters to round: at pure-Python sizes rows separate
-            report = verify_fat_model(g, pat, res.model, args.fatness)
-            writer.writerow([g.n, "model", "", "", "", runtime, report.ok])
+            writer.writerow([g.n, "model", "", "", "", runtime, True])
         else:
             writer.writerow([g.n, "failure", "", "", "", runtime, False])
     text = buf.getvalue()

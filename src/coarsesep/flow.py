@@ -513,7 +513,10 @@ def _peel(g: WeightedGraph,
     `make_separation`, which rejects sides that miss a vertex or that an
     edge crosses, and the active set splits into A - B, A & B and B - A.
     So each component of G - S lies in one peeled B - A or in the last
-    active set; the balance check finds them, and they are the pieces.
+    active set, and these components are the pieces.  Each is light, which
+    both entry points check on their own graph: a peeled B - A weighs at
+    most w(B) <= w(A), and A is disjoint from it; the last active set
+    weighs less than W/2.
     """
     total = g.total_weight
     active = list(range(g.n))
@@ -539,10 +542,6 @@ def _peel(g: WeightedGraph,
         # and the active set shrinks on every step
         active = sorted(a_set - b_set)
     pieces = connected_components(g, set(range(g.n)) - sep_acc)
-    # a peeled piece B - A weighs at most w(B) <= w(A), and A is disjoint
-    # from it, so at most W/2; the last active set weighs less than W/2
-    if any(g.weight_of(c) > total / 2.0 for c in pieces):  # pragma: no cover
-        raise GraphError("peeled separator failed the balance check")
     return BalancedSeparatorResult(frozenset(sep_acc),
                                    tuple(map(tuple, pieces)), tuple(steps))
 

@@ -14,21 +14,21 @@ the host into a small weighted quotient, a flow/cut loop either peels off
 a balanced separator (whose clusters become the certificate) or surfaces
 a concurrent flow on a heavy part, and the flow is rounded into branch
 sets by independent sampling.  Fatness above 3 is reduced to the core on
-the d-th graph power.  Each entry point verifies its certificate once, on
-the caller's graph, where it returns it.
+the d-th graph power.  Each entry point verifies its answer (certificate
+or model) once, on the caller's graph, where it returns it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .fatminor import (CrudeFatModel, FatModel, PatternGraph,
-                       SubdividedPattern, crude_to_fat, ensure_no_isolated,
-                       lift_model, power_model_to_base, restrict_model,
-                       sample_crude_model, two_subdivision)
+                       SubdividedPattern, crude_to_fat, ensure_fat_model,
+                       ensure_no_isolated, lift_model, power_model_to_base,
+                       restrict_model, sample_crude_model, two_subdivision)
 from .flow import (BalancedSeparatorResult, HeavyFlowResult,
                    balanced_separator_by_sweeps, balanced_separator_or_flow)
 from .graph import (GraphError, QuotientGraph, SeparatorCertificate,
@@ -112,16 +112,22 @@ def _certificate_from_clusters(g: WeightedGraph, part: ConnectedPartition,
     return SeparatorCertificate(frozenset(sep), centers, int(radius))
 
 
-def _checked(g: WeightedGraph, cert: SeparatorCertificate,
-             branch: str, gamma: float | None) -> SeparatorFound:
+def _checked(g: WeightedGraph, res: SeparatorFound | ModelFound,
+             pattern: PatternGraph | None = None
+             ) -> SeparatorFound | ModelFound:
+    """`res`, once its certificate or its model of `pattern` verifies on g."""
+    # a failure is an internal fault: every branch builds an answer that passes
+    if isinstance(res, ModelFound):
+        ensure_fat_model(g, pattern, res.model, res.model.fatness)
+        return res
+    cert = res.certificate
     report = verify_separator(g, cert.separator, cert.centers, cert.radius)
     if not report.ok:
-        # an internal fault: every branch builds a certificate that passes
         raise GraphError(
-            f"{branch} certificate failed verification "
+            f"{res.branch} certificate failed verification "
             f"(balanced={report.balanced}, heaviest="
             f"{report.heaviest_component}, uncovered={report.uncovered[:5]})")
-    return SeparatorFound(cert, branch, gamma)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +148,7 @@ def _spread_ok(sub: SubdividedPattern, crude: CrudeFatModel,
     return True
 
 
-def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
-                         aug: PatternGraph, sub: SubdividedPattern,
+def _round_flow_to_model(pattern: PatternGraph, sub: SubdividedPattern,
                          q: QuotientGraph, close: ClusterClosePairs,
                          heavy: HeavyFlowResult, population: list[int],
                          config: PipelineConfig, rng: random.Random,
@@ -151,11 +156,11 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
     """Sample crude models from the flow until one survives, then lift it.
 
     A trial fails by collision (two subdivision vertices on one cluster)
-    or by spread; one that passes both cannot fail to lift.  `aug` has no
-    isolated vertex, so each pair of branch sets that must stay 3 apart
-    comes from two subdivision edges with four distinct ends, whose
-    footprints `_spread_ok` found at quotient distance >= 3.  Lifting keeps
-    connectivity and only grows distances; `lift_model` checks the result.
+    or by spread; one that passes both lifts to a 3-fat model.  `sub`
+    subdivides a pattern with no isolated vertex, so each pair of branch
+    sets that must stay 3 apart comes from two subdivision edges with four
+    distinct ends, whose footprints `_spread_ok` found at quotient distance
+    >= 3.  Lifting keeps connectivity and only grows distances.
     """
     collisions = 0
     spread = 0
@@ -171,7 +176,7 @@ def _round_flow_to_model(g: WeightedGraph, pattern: PatternGraph,
         if not _spread_ok(sub, crude, heavy.vertices, close):
             spread += 1
             continue
-        lifted = lift_model(g, clusters, aug, crude_to_fat(sub, crude), 3)
+        lifted = lift_model(clusters, crude_to_fat(sub, crude), 3)
         return ModelFound(restrict_model(lifted, pattern), "rounding", gamma)
     return PipelineFailure("rounding", config.trials, collisions, spread)
 
@@ -206,8 +211,8 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     so at any scale from 1e-300 to 1e300 they give the unit-weight answer
     (unit weights are used as they are).  `congestion_override` and the
     reported `gamma` scale as W^2 and are in the caller's scale.
-    Certificates come back unverified: `coarse_separator_or_model` checks
-    them on its own graph.
+    Answers come back unverified: `coarse_separator_or_model` checks them
+    on its own graph.
 
     At the paper's gamma the rounding branch needs quotients far larger
     than this pure-Python code reaches.  A flow needs gamma at least the
@@ -229,8 +234,7 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     if pattern.n == 1:
         return ModelFound(FatModel(3, {0: frozenset({0})}, {}), "degenerate")
 
-    aug = ensure_no_isolated(pattern)
-    sub = two_subdivision(aug)
+    sub = two_subdivision(ensure_no_isolated(pattern))
     h = sub.size
     rng = random.Random(config.seed)
     host, top = _heaviest_weight_one(g)
@@ -270,8 +274,8 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
         ids.update(heavy.vertices[x] for x in heavy_local)
         cert = _certificate_from_clusters(host, part, ids)
         return SeparatorFound(cert, "heavy-clusters", reported)
-    return _round_flow_to_model(host, pattern, aug, sub, q, close, heavy,
-                                light_local, config, rng, reported)
+    return _round_flow_to_model(pattern, sub, q, close, heavy, light_local,
+                                config, rng, reported)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +293,8 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
     there converts to a d-fat model here, and a certificate keeps its
     separator while its radius is re-measured in this graph (one power
     hop is at most d hops, so the radius stays within d * ceil(32/eps)).
-    The core decides the weight scale (see `_core_3fat`); a certificate is
-    verified once, on `g`.
+    The core decides the weight scale (see `_core_3fat`); a certificate or
+    model is verified once, on `g`.
     """
     if fatness < 1:
         raise GraphError("fatness must be at least 1")
@@ -298,16 +302,14 @@ def coarse_separator_or_model(g: WeightedGraph, pattern: PatternGraph,
     res = _core_3fat(g_core, pattern, config)
     if isinstance(res, PipelineFailure):
         return res
-    if isinstance(res, ModelFound):
-        if g_core is g:
-            return res
-        model = power_model_to_base(g, g_core, pattern, res.model, fatness)
-        return ModelFound(model, res.branch, res.gamma)
-    cert = res.certificate
-    if g_core is not g:
+    if g_core is not g and isinstance(res, ModelFound):
+        res = replace(res, model=power_model_to_base(g, g_core, pattern,
+                                                     res.model, fatness))
+    elif g_core is not g:
+        cert = res.certificate
         radius = coverage_radius(g, cert.separator, cert.centers)
-        cert = SeparatorCertificate(cert.separator, cert.centers, int(radius))
-    return _checked(g, cert, res.branch, res.gamma)
+        res = replace(res, certificate=replace(cert, radius=int(radius)))
+    return _checked(g, res, pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -353,5 +355,4 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     radius = coverage_radius(g, sep, centers)
     cert = SeparatorCertificate(frozenset(sep), tuple(sorted(centers)),
                                 int(radius))
-    found = _checked(g, cert, "star-quotient", None)
-    return found.certificate
+    return _checked(g, SeparatorFound(cert, "star-quotient")).certificate

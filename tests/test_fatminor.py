@@ -10,7 +10,6 @@ from coarsesep import (
     CrudeFatModel,
     FatModel,
     GraphError,
-    LiftError,
     ModelError,
     PatternGraph,
     WeightedGraph,
@@ -266,22 +265,14 @@ def test_lift_model_blows_up_clusters():
     qmodel = FatModel(3, {0: frozenset({0}), 1: frozenset({3})},
                       {(0, 1): frozenset({0, 1, 2, 3})})
     assert verify_fat_model(q.graph, K2, qmodel, 3).ok
-    lifted = lift_model(g, clusters, K2, qmodel, 3)
+    lifted = lift_model(clusters, qmodel, 3)
     assert lifted.vertex_sets[0] == frozenset({0, 1})
     assert lifted.vertex_sets[1] == frozenset({6, 7})
     assert lifted.edge_sets[(0, 1)] == frozenset(range(8))
     assert verify_fat_model(g, K2, lifted, 3).ok
 
 
-_ADJACENT_IN_QUOTIENT = FatModel(3, {0: frozenset({0}), 1: frozenset({1})},
-                                 {(0, 1): frozenset({0, 1})})
-
-
 @pytest.mark.parametrize("call, outcome", [
-    # path(4) in clusters (0, 1), (2, 3) is K2: the lifted vertex sets touch
-    (lambda: lift_model(path_graph(4), [(0, 1), (2, 3)], K2,
-                        _ADJACENT_IN_QUOTIENT, 3),
-     (LiftError, "vertex 0 and vertex 1 are at distance 1 < 3")),
     # the branch set {0, 1} is connected in the power, not in the base
     (lambda: power_model_to_base(WeightedGraph(2), WeightedGraph(2, [(0, 1)]),
                                  PatternGraph(1, []),
@@ -293,8 +284,7 @@ _ADJACENT_IN_QUOTIENT = FatModel(3, {0: frozenset({0}), 1: frozenset({1})},
      FatModel(3, {0: frozenset({5}), 1: frozenset({7})}, {})),
     (lambda: make_separation(WeightedGraph(2, [], [1.0, 0.0]), {0}, {1}),
      (GraphError, "both sides of a separation need positive weight")),
-], ids=["lift-adjacent", "power-no-base-path", "crude-isolated",
-        "separation-weightless-side"])
+], ids=["power-no-base-path", "crude-isolated", "separation-weightless-side"])
 def test_public_calls_reach_their_checks(call, outcome):
     # lines that no pipeline run reaches, each reached through a public call
     if isinstance(outcome, FatModel):

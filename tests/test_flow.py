@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coarsesep import (
     BalancedSeparatorResult,
     ConcurrentFlow,
+    FlowCutError,
     FlowError,
     GraphError,
     HeavyFlowResult,
@@ -598,6 +599,21 @@ def test_sweep_alone_answers_below_the_endpoint_bound(monkeypatch):
         res = flow_or_sparse_cut(g, gamma)
         assert isinstance(res, Separation)
         assert res.sparsity <= 64.0 * math.log(g.n) / gamma * (1 + 1e-9)
+
+
+def test_a_sweep_cut_above_the_bound_is_refused(monkeypatch):
+    # inside the window on cycle(20) the tree flow misses gamma and the
+    # sweep's cut lies under the bound 64 ln(20) / gamma; with the constant
+    # shrunk to 1e-9 the same cut lies above it, and no answer is left
+    g = cycle_graph(20)
+    gamma = 0.2 * g.total_weight ** 2
+    assert gamma >= max(2.0 * x * (g.total_weight - x) for x in g.weights)
+    res = flow_or_sparse_cut(g, gamma)
+    assert isinstance(res, Separation)
+    assert 0 < res.sparsity <= 64.0 * math.log(20) / gamma
+    monkeypatch.setattr(flow_module, "CUT_CONSTANT", 1e-9)
+    with pytest.raises(FlowCutError, match="no flow within the congestion"):
+        flow_or_sparse_cut(g, gamma)
 
 
 def test_flow_or_sparse_cut_outputs_match_golden_digest():

@@ -393,6 +393,33 @@ def test_cli_cuts_whose_weight_product_underflows(tmp_path, capsys,
     assert (code, out, err) == (0, line, "")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command, options", [
+    (["flowcut"], ["--gamma", "1e-313"]),
+    (["oracle", "sparsest"], []),
+], ids=["flowcut", "oracle-sparsest"])
+def test_cli_json_writes_a_sparsity_of_inf_as_null(tmp_path, capsys,
+                                                   command, options):
+    # with weights 1e-156 every cut of path(3) has w(A) w(B) <= 4e-312, so
+    # its sparsity is inf, which strict JSON cannot hold
+    gpath = tmp_path / "p3.txt"
+    wpath = tmp_path / "p3.w"
+    write_graph(path_graph(3), str(gpath))
+    wpath.write_text("0 1e-156\n1 1e-156\n2 1e-156\n")
+    args = [*command, str(gpath), "--weights", str(wpath), *options]
+    code, out, err = run_cli(capsys, *args, "--json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out, parse_constant=_reject_constant)
+    assert obj["sparsity"] is None
+    assert obj["side_a"] and obj["side_b"]
+    # the human-readable line keeps inf
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out.rstrip().endswith("sparsity inf")
+
+
 def test_cli_flowcut_rejects_nan_gamma(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     write_graph(WeightedGraph(3, [(0, 1), (1, 2)]), str(path))

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsesep import (
     FatModel,
@@ -49,6 +53,53 @@ def test_brute_force_existence_table(host_name, pat_name):
         assert (model is not None) == expect, (host_name, pat_name, d)
         if model is not None:
             assert verify_fat_model(g, pat, model, d).ok
+
+
+@st.composite
+def _host_pattern_candidate(draw):
+    """A host of up to 8 vertices, a pattern, a fatness and a candidate.
+
+    Each branch set of the candidate grows from one vertex by up to two
+    more, each a neighbour of the set or, now and then, any vertex: most
+    sets are connected, so candidates come close to a model, and some are
+    not.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = WeightedGraph(n, [e for e in pairs if draw(st.booleans())])
+    pattern = draw(st.sampled_from([K2, P3, K3]))
+    d = draw(st.integers(1, 3))
+
+    def branch_set():
+        grown = [draw(st.integers(0, n - 1))]
+        for _ in range(draw(st.integers(0, 2))):
+            rim = {v for u in grown for v in g.adj[u]} - set(grown)
+            if not rim or draw(st.integers(0, 3)) == 0:
+                rim = set(range(n)) - set(grown)
+            if rim:
+                grown.append(draw(st.sampled_from(sorted(rim))))
+        return frozenset(grown)
+
+    candidate = FatModel(d, {u: branch_set() for u in range(pattern.n)},
+                         {e: branch_set() for e in pattern.edges})
+    return g, pattern, d, candidate
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_host_pattern_candidate())
+def test_verifier_agrees_with_the_brute_force_oracle(case):
+    # the oracle's model verifies; where it finds none, neither the drawn
+    # candidate nor the oracle's model at a lower fatness verifies
+    g, pattern, d, candidate = case
+    model = brute_force_fat_minor(g, pattern, d)
+    if model is not None:
+        assert verify_fat_model(g, pattern, model, d).ok
+        return
+    assert not verify_fat_model(g, pattern, candidate, d).ok
+    for lower in range(1, d):
+        near = brute_force_fat_minor(g, pattern, lower)
+        if near is not None:
+            assert not verify_fat_model(g, pattern, near, d).ok
 
 
 def test_brute_force_monotone_in_fatness():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import os
 import random
@@ -47,6 +48,7 @@ from coarsesep.generators import (
 )
 import coarsesep.flow as flow_module
 import coarsesep.pipeline as pipeline_module
+from coarsesep.cli import main as cli_main
 from coarsesep.flow import balanced_separator_by_sweeps
 from coarsesep.pipeline import _heaviest_weight_one
 
@@ -127,6 +129,74 @@ def test_certificate_is_verified_once_on_the_callers_graph(monkeypatch, d):
     res = coarse_separator_or_model(g, K3, d, PipelineConfig())
     assert_verified_certificate(g, res, d=d)
     assert len(hosts) == 1 and hosts[0] is g
+
+
+def _spy_on_verifiers(monkeypatch):
+    """Record (verifier, host) for every call of either verifier.
+
+    Each verifier is replaced under every name a package module looks it up
+    by, so calls through `verify_certificate` and `ensure_fat_model` count.
+    """
+    calls = []
+    modules = [importlib.import_module(f"coarsesep.{name}")
+               for name in ("graph", "fatminor", "flow", "pipeline", "cli")]
+    for name, home in (("verify_separator", modules[0]),
+                       ("verify_fat_model", modules[1])):
+        def spy(host, *args, _name=name, _original=getattr(home, name)):
+            calls.append((_name, host))
+            return _original(host, *args)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("g, d, config, hosts", [
+    # the smallest path on which the override reaches rounding at d = 3
+    (path_graph(1200), 3, PipelineConfig(eps=1.0, congestion_override=1e15),
+     [("verify_fat_model", "g")]),
+    # power_model_to_base checks its input, the 3-fat precondition it needs
+    (path_graph(3000), 5, PipelineConfig(eps=0.5, congestion_override=1e15),
+     [("verify_fat_model", "power"), ("verify_fat_model", "g")]),
+], ids=["d3", "d5"])
+def test_a_model_is_verified_once_on_the_callers_graph(monkeypatch, g, d,
+                                                       config, hosts):
+    calls = _spy_on_verifiers(monkeypatch)
+    res = coarse_separator_or_model(g, K2, d, config)
+    assert res.branch == "rounding"
+    power_edges = power(g, d).edges()
+    assert [(name, "g" if host is g else
+             "power" if host.edges() == power_edges else "other")
+            for name, host in calls] == hosts
+
+
+def test_each_bench_row_is_verified_once(monkeypatch, capsys):
+    calls = _spy_on_verifiers(monkeypatch)
+    assert cli_main(["bench", "--family", "grid", "--sizes", "6,8"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+    assert [(row[1], row[-1]) for row in rows[1:]] == [("separator",
+                                                        "True")] * 2
+    assert [(name, host.n) for name, host in calls] == [
+        ("verify_separator", 36), ("verify_separator", 64)]
+
+
+def test_a_model_that_fails_its_check_is_an_internal_fault(monkeypatch):
+    # a lift whose vertex branch sets coincide: the entry point's one check
+    # of the model, on g, raises
+    original = pipeline_module.lift_model
+
+    def touching(*args):
+        model = original(*args)
+        first = model.vertex_sets[0]
+        return FatModel(model.fatness, {u: first for u in model.vertex_sets},
+                        model.edge_sets)
+
+    monkeypatch.setattr(pipeline_module, "lift_model", touching)
+    config = PipelineConfig(eps=1.0, congestion_override=1e15)
+    with pytest.raises(GraphError, match="model fails at fatness 3: vertex 0 "
+                       "and vertex 1 are at distance 0 < 3"):
+        coarse_separator_or_model(path_graph(1200), K2, 3, config)
 
 
 def test_fatness_must_be_positive():
