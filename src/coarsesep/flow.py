@@ -34,7 +34,10 @@ they need, the total weight W and the heaviest vertex, from the host too.
 One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
 weighs less than W/2; the components of G - S that its balance check
-finds are the result's pieces.  `balanced_separator_or_flow` steps with the
+finds are the result's pieces.  It decides balance exactly on `units`,
+the `graph.weight_units` of g's weights or of the graph whose quotient g
+is; a part light in units passes the verifier's `math.fsum` test, since
+rounding is monotone.  `balanced_separator_or_flow` steps with the
 dichotomy and ends with either a balanced separator of the whole graph or
 a flow on a still-heavy induced subgraph; each of its cuts must meet the
 sparsity bound, so each is the sparsest the sweep finds.
@@ -56,7 +59,7 @@ from typing import Callable, Iterator
 
 from .graph import (GraphError, Separation, WeightedGraph, bfs_distances,
                     bfs_tree, connected_components, induced_subgraph,
-                    make_separation)
+                    make_separation, weight_units)
 
 # c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
 # gap (Leighton and Rao, JACM 1999)
@@ -502,7 +505,8 @@ class HeavyFlowResult:
 
 
 def _peel(g: WeightedGraph,
-          step: Callable[[WeightedGraph], ConcurrentFlow | Separation]
+          step: Callable[[WeightedGraph], ConcurrentFlow | Separation],
+          units: Sequence[int]
           ) -> BalancedSeparatorResult | HeavyFlowResult:
     """Peel the lighter side of step's separations until the rest is light.
 
@@ -516,13 +520,14 @@ def _peel(g: WeightedGraph,
     active set, and these components are the pieces.  Each is light, which
     both entry points check on their own graph: a peeled B - A weighs at
     most w(B) <= w(A), and A is disjoint from it; the last active set
-    weighs less than W/2.
+    weighs less than W/2.  The stop rule and the lighter side compare
+    `units`, so these bounds hold exactly.
     """
-    total = g.total_weight
+    total = sum(units)
     active = list(range(g.n))
     sep_acc: set[int] = set()
     steps: list[float] = []
-    while g.weight_of(active) >= total / 2.0:
+    while 2 * sum(units[v] for v in active) >= total:
         sub, ids = induced_subgraph(g, active)
         res = step(sub)
         if isinstance(res, ConcurrentFlow):
@@ -530,8 +535,8 @@ def _peel(g: WeightedGraph,
                                    tuple(steps))
         side_a = sorted(ids[v] for v in res.side_a)
         side_b = sorted(ids[v] for v in res.side_b)
-        wa = g.weight_of(side_a)
-        wb = g.weight_of(side_b)
+        wa = sum(units[v] for v in side_a)
+        wb = sum(units[v] for v in side_b)
         if wa < wb or (wa == wb and side_b < side_a):
             side_a, side_b = side_b, side_a
         a_set = set(side_a)
@@ -546,11 +551,13 @@ def _peel(g: WeightedGraph,
                                    tuple(map(tuple, pieces)), tuple(steps))
 
 
-def balanced_separator_or_flow(g: WeightedGraph, gamma: float
+def balanced_separator_or_flow(g: WeightedGraph, gamma: float, *,
+                               units: Sequence[int] | None = None
                                ) -> BalancedSeparatorResult | HeavyFlowResult:
     """Peel sparse separations until the rest is light, or surface a flow.
 
-    The peel's step is `flow_or_sparse_cut(sub, gamma)`.  The accumulated
+    The peel's step is `flow_or_sparse_cut(sub, gamma)`, and its balance
+    is decided on `units` (see the module docstring).  The accumulated
     separator has size at most CUT_CONSTANT * W^2 * ln(n) / gamma, up to
     the factor 1 + _REL_TOL.  Step i cuts the active subgraph at (A_i, B_i)
     with B_i the lighter side, and its separator S_i = A_i & B_i has
@@ -564,7 +571,8 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float
     w(A_i) * w(B_i) is at most W^2.  A component split has an empty
     separator and adds nothing.
     """
-    return _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma))
+    units = weight_units(g.weights) if units is None else units
+    return _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma), units)
 
 
 def _sweep_cut(g: WeightedGraph) -> Separation:
@@ -586,29 +594,27 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
 
 
 def _pruned(g: WeightedGraph, separator: frozenset[int],
-            pieces: Sequence[Sequence[int]], ties: bool
+            pieces: Sequence[Sequence[int]], units: Sequence[int]
             ) -> tuple[set[int], list[list[int]]]:
     """Give separator vertices back while every component stays light.
 
-    `pieces` are the components of G - S, as the peel found them.
-    Heaviest first, equal weights by id, a vertex leaves the separator
-    when the component of G - S it joins stays light: at most W/2 with
-    `ties`, at most W/2 times 1 - _REL_TOL without.  Components only
-    grow, so one pass leaves no vertex that could still go back.  A
-    union-find over the components keeps their weights, so the pass takes
-    O(sum of degrees) besides the near-constant finds.  Returns the pruned
-    separator and the components of G - S, each sorted, by least vertex.
+    `pieces` are the components of G - S, as the peel found them.  Heaviest
+    first in `units`, equal weights by id, a vertex leaves the separator
+    when the component of G - S it joins stays light (2 * joined <= W in
+    units).  Components only grow, so one pass leaves no vertex that could
+    still go back.  A union-find over the components keeps their weights,
+    so the pass takes O(sum of degrees) besides the near-constant finds.
+    Returns the pruned separator and the components of G - S, each sorted,
+    by least vertex.
     """
-    w = g.weights
-    half = g.total_weight / 2.0
-    limit = half if ties else half * (1 - _REL_TOL)
+    total = sum(units)
     sep = set(separator)
     comp = [-1] * g.n  # the component of each vertex outside sep
     weight = []  # by component, read at the roots
     for i, members in enumerate(pieces):
         for u in members:
             comp[u] = i
-        weight.append(g.weight_of(members))
+        weight.append(sum(units[u] for u in members))
     parent = list(range(len(weight)))
 
     def find(c: int) -> int:
@@ -616,10 +622,10 @@ def _pruned(g: WeightedGraph, separator: frozenset[int],
             parent[c] = c = parent[parent[c]]
         return c
 
-    for v in sorted(sep, key=lambda x: (-w[x], x)):
+    for v in sorted(sep, key=lambda x: (-units[x], x)):
         roots = {find(comp[u]) for u in g.adj[v] if comp[u] >= 0}
-        joined = w[v] + sum(weight[r] for r in roots)
-        if joined > limit:
+        joined = units[v] + sum(weight[r] for r in roots)
+        if 2 * joined > total:
             continue
         sep.remove(v)
         root = len(parent)
@@ -635,7 +641,8 @@ def _pruned(g: WeightedGraph, separator: frozenset[int],
     return sep, list(parts.values())
 
 
-def balanced_separator_by_sweeps(g: WeightedGraph, *, ties: bool = False
+def balanced_separator_by_sweeps(g: WeightedGraph, *,
+                                 units: Sequence[int] | None = None
                                  ) -> BalancedSeparatorResult:
     """A balanced separator from sweep cuts alone, with no routing.
 
@@ -650,19 +657,13 @@ def balanced_separator_by_sweeps(g: WeightedGraph, *, ties: bool = False
 
     The peel's separator is then pruned (`_pruned`): vertices go back,
     heaviest first, while the component each one joins stays light, which
-    wins back what the coarser steps cost.  With `ties` a component of
-    exactly W/2 counts as light.  Pass it only where the sums are exact
-    (integer weights summing below 2^53) and the balance that counts is
-    this graph's.  Otherwise a component must stay within W/2 times
-    1 - _REL_TOL, a margin far more than the float error of its running sum
-    (about n 2^-53 relative), so a caller that rescales the weights and
-    checks balance on its own graph keeps the answer balanced there.
-
-    The pruned set is a subset of the peeled one, and every component of
-    G - S still weighs at most W/2.  `pieces` are the components of G - S
-    and `steps` the sparsity of each peel step.
+    wins back what the coarser steps cost.  Both decide balance on `units`
+    (see the module docstring).  The pruned set is a subset of the peeled
+    one, and every component of G - S still weighs at most W/2.  `pieces`
+    are the components of G - S and `steps` the sparsity of each peel step.
     """
-    peeled = _peel(g, _sweep_cut)  # a sweep step never returns a flow
-    sep, pieces = _pruned(g, peeled.separator, peeled.pieces, ties)
+    units = weight_units(g.weights) if units is None else units
+    peeled = _peel(g, _sweep_cut, units)  # a sweep step never returns a flow
+    sep, pieces = _pruned(g, peeled.separator, peeled.pieces, units)
     return BalancedSeparatorResult(frozenset(sep), tuple(map(tuple, pieces)),
                                    peeled.steps)

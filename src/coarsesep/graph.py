@@ -132,6 +132,14 @@ def _checked_weights(weights: Sequence[float], n: int) -> list[float]:
     return ws
 
 
+def weight_units(weights: Sequence[float]) -> list[int]:
+    """Each weight as an int on one power-of-two scale, so sums are exact."""
+    # a float is p / 2^k; at most about 2,100 bits across the float range
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max((q for _, q in ratios), default=1)
+    return [p * (scale // q) for p, q in ratios]
+
+
 def bfs_layers(g: WeightedGraph, sources: Iterable[int], seen: list[bool],
                radius: float = math.inf) -> Iterator[list[int]]:
     """BFS frontiers at depth 1, 2, ..., `radius`; see the module doc."""

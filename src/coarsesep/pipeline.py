@@ -33,7 +33,7 @@ from .flow import (BalancedSeparatorResult, HeavyFlowResult,
                    balanced_separator_by_sweeps, balanced_separator_or_flow)
 from .graph import (GraphError, QuotientGraph, SeparatorCertificate,
                     WeightedGraph, coverage_radius, greedy_cover, power,
-                    quotient, verify_separator)
+                    quotient, verify_separator, weight_units)
 from .partition import (ClusterClosePairs, ConnectedPartition,
                         close_cluster_pairs, sparse_partition, star_partition)
 
@@ -197,6 +197,12 @@ def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     return g, 1.0
 
 
+def _cluster_units(g: WeightedGraph, q: QuotientGraph) -> list[int]:
+    """Each cluster of `q` as its exact sum of `weight_units` of `g`."""
+    units = weight_units(g.weights)
+    return [sum(units[v] for v in cl) for cl in q.clusters]
+
+
 def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
                config: PipelineConfig | None = None
                ) -> SeparatorFound | ModelFound | PipelineFailure:
@@ -206,13 +212,13 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     must have at least two vertices unless it is trivial (a one-vertex
     pattern embeds anywhere, an empty pattern everywhere).
 
-    The core works on the weights divided by the heaviest one.  Balance
-    and sparsity only rescale with W, and uniform weights become exactly 1,
-    so at any scale from 1e-300 to 1e300 they give the unit-weight answer
-    (unit weights are used as they are).  `congestion_override` and the
-    reported `gamma` scale as W^2 and are in the caller's scale.
-    Answers come back unverified: `coarse_separator_or_model` checks them
-    on its own graph.
+    The flow and the sweep work on the weights divided by the heaviest
+    one; uniform weights become exactly 1, so at any scale from 1e-300 to
+    1e300 they give the unit-weight answer.  `congestion_override` and the
+    reported `gamma` scale as W^2 and are in the caller's scale.  The peel
+    and the heavy-clusters test decide balance exactly, on `_cluster_units`
+    of g (a graph power keeps g's vertices).  Answers come back unverified:
+    `coarse_separator_or_model` checks them on its own graph.
 
     At the paper's gamma the rounding branch needs quotients far larger
     than this pure-Python code reaches.  A flow needs gamma at least the
@@ -241,6 +247,7 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
 
     part = sparse_partition(host, config.eps, rng)
     q = quotient(host, part.clusters)
+    units = _cluster_units(g, q)
     close = close_cluster_pairs(q)
     total = host.total_weight
     override = config.congestion_override
@@ -251,7 +258,7 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     # gamma in the caller's scale: 0 or inf beyond the float range
     reported = override if override is not None else gamma * top * top
 
-    outcome = balanced_separator_or_flow(q.graph, gamma)
+    outcome = balanced_separator_or_flow(q.graph, gamma, units=units)
     if isinstance(outcome, BalancedSeparatorResult):
         cert = _certificate_from_clusters(host, part, outcome.separator)
         return SeparatorFound(cert, "peeling", reported)
@@ -260,18 +267,14 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     heavy: HeavyFlowResult = outcome
     qw = q.graph.weights
     threshold = total / (4.0 * h * h)
-    local_ids = range(len(heavy.vertices))
-    heavy_local = [x for x in local_ids
-                   if qw[heavy.vertices[x]] >= threshold]
-    light_local = [x for x in local_ids
-                   if qw[heavy.vertices[x]] < threshold]
-    w_heavy = math.fsum(qw[heavy.vertices[x]] for x in heavy_local)
-    w_light = math.fsum(qw[heavy.vertices[x]] for x in light_local)
-    if w_heavy >= w_light:
-        # few heavy clusters carry half the active weight: adding them to
-        # the peeled separator leaves only light components behind
+    light_local = [x for x, c in enumerate(heavy.vertices)
+                   if qw[c] < threshold]
+    w_light = sum(units[heavy.vertices[x]] for x in light_local)
+    if 2 * w_light <= sum(units[c] for c in heavy.vertices):
+        # the light clusters weigh at most half the active weight: adding
+        # the heavy ones to the peeled separator leaves only light parts
         ids = set(heavy.separator)
-        ids.update(heavy.vertices[x] for x in heavy_local)
+        ids.update(c for c in heavy.vertices if qw[c] >= threshold)
         cert = _certificate_from_clusters(host, part, ids)
         return SeparatorFound(cert, "heavy-clusters", reported)
     return _round_flow_to_model(pattern, sub, q, close, heavy, light_local,
@@ -325,27 +328,20 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     separator comes from peeling sweep cuts of the quotient, each with
     both sides at least 5 % of the active weight, and then pruning it
     (`balanced_separator_by_sweeps`, with no congestion budget or
-    routing): stars go back while every component stays light.
-    The quotient carries the weights divided by the heaviest one, so its
+    routing): stars go back while every component stays light.  The
+    quotient carries the weights divided by the heaviest one, so its
     heaviest weight lies in [1, n]: the sweep's products of side weights
-    stay in the float range, and uniform weights at any scale
-    give the unit-weight answer.  The separator's balance is checked once,
-    when the certificate is verified on `g`, since the components of G - S
-    are unions of whole stars.
-
-    A star's weight is the sum of its members' rescaled weights, so a
-    component of exactly W/2 on the quotient can weigh more than W/2 on
-    `g`.  Only where every rescaled weight is 0 or 1 (uniform weights) are
-    the quotient's sums exact counts, and the rounding of k times one
-    weight monotone in k; only there does the prune accept a tie.
+    stay in the float range, and uniform weights at any scale give the
+    unit-weight answer.  Balance is decided exactly, on each star's sum of
+    `weight_units` of g, and checked once, when the certificate is
+    verified on `g`, since the components of G - S are unions of stars.
     """
     if g.total_weight <= 0:
         # nothing carries weight, so the empty separator is balanced
         return SeparatorCertificate(frozenset(), (), 0)
     host = _heaviest_weight_one(g)[0]
     part, q = star_partition(host)
-    ties = all(x == 0.0 or x == 1.0 for x in host.weights)
-    res = balanced_separator_by_sweeps(q.graph, ties=ties)
+    res = balanced_separator_by_sweeps(q.graph, units=_cluster_units(g, q))
     sep: set[int] = set()
     centers = []
     # in id order: a set's repr follows the order its members went in

@@ -37,7 +37,7 @@ from coarsesep.flow import (_MIN_BITE, _best_sweep_separation, _cut_orders,
                             _fiedler_order, _fiedler_vector, _pruned,
                             _sweep_cut, _sweep_order, _tree_congestion,
                             balanced_separator_by_sweeps)
-from coarsesep.graph import bfs_tree
+from coarsesep.graph import bfs_tree, weight_units
 from coarsesep.oracle import exact_sparsest_separation
 
 
@@ -884,39 +884,49 @@ def test_an_unmet_bite_falls_back_to_the_sparsest_cut(monkeypatch, g):
 ])
 def test_sweep_peel_keeps_one_vertex_where_one_balances(g, separator, pieces):
     # The peel cuts while the active weight is at least W/2, so it also cuts
-    # a last part of exactly W/2 and ends with two vertices.  Where ties
-    # count, the prune gives the first back: the component it joins weighs
-    # exactly W/2.  Without them both stay.
-    res = balanced_separator_by_sweeps(g, ties=True)
+    # a last part of exactly W/2 and ends with two vertices.  The prune
+    # gives the first back: the component it joins weighs exactly W/2.
+    res = balanced_separator_by_sweeps(g)
     assert res.separator == separator
     assert res.pieces == pieces
-    assert len(balanced_separator_by_sweeps(g).separator) == 2
     assert verify_certificate(g, induced_minor_separator(g)).ok
 
 
-@pytest.mark.parametrize("weights, separator, ties, kept", [
-    # where ties count, vertex 0 alone weighs exactly W/2 and goes back,
-    # then 1 would join 0 and 2
+@pytest.mark.parametrize("weights, separator, as_is, kept", [
+    # vertex 0 alone weighs exactly W/2 and goes back, then 1 would join 0
+    # and 2
     ([1.0, 0.0, 1.0], {0, 1}, True, {1}),
-    # without them, neither goes back
-    ([1.0, 0.0, 1.0], {0, 1}, False, {0, 1}),
+    # no weight at all: every part weighs 0 = W/2, so all of S goes back
+    ([0.0, 0.0, 0.0], {0, 1, 2}, True, set()),
     # heaviest first, equal weights by id: 1 goes back, then neither 2 nor
     # 0 can join it
     ([1.0, 2.0, 2.0], {0, 1, 2}, True, {0, 2}),
     # 0 and 2 go back well below W/2; 1 would join them both
     ([1.0, 0.5, 1.0], {0, 1, 2}, False, {1}),
-    # Without ties a part must stay below W/2 by the float margin: 0 would
-    # weigh W/2 + 5e-13, and 1 would make a part of W/2 - 5e-13.
-    ([1 + 1e-12, 0.0, 1.0], {0, 1}, False, {0, 1}),
+    # 0 alone would weigh W/2 + 5e-13, so it stays; 1 then joins 2 at
+    # weight 1 <= W/2, exactly
+    ([1 + 1e-12, 0.0, 1.0], {0, 1}, False, {0}),
 ])
 def test_prune_gives_back_only_what_keeps_every_part_light(weights, separator,
-                                                          ties, kept):
+                                                          as_is, kept):
+    # `as_is`: the weights are whole numbers, so they are their own units
+    # and the prune compares them unscaled
     g = WeightedGraph(3, [(0, 1), (1, 2)], weights)
+    units = weight_units(g.weights)
+    assert (units == weights) == as_is
     outside = connected_components(g, set(range(3)) - separator)
-    sep, pieces = _pruned(g, frozenset(separator), outside, ties)
+    sep, pieces = _pruned(g, frozenset(separator), outside, units)
     assert sep == kept
     assert pieces == connected_components(g, set(range(3)) - kept)
     assert verify_separator(g, kept, kept, 0).balanced
+
+
+def test_prune_decides_balance_on_the_units_it_is_given():
+    # The floats tie vertices 0 and 2; the units make 0 weigh 3 of 5, so 0
+    # stays (6 > 5) and 1 goes back to join 2 (2 * 2 <= 5).
+    g = WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 0.0, 1.0])
+    sep, pieces = _pruned(g, frozenset({0, 1}), [[2]], [3, 0, 2])
+    assert (sep, pieces) == ({0}, [[1, 2]])
 
 
 @pytest.mark.parametrize("g", [

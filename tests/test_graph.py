@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from coarsesep.generators import (
     random_regular_graph,
     torus_graph,
 )
+from coarsesep.graph import weight_units
 from coarsesep.oracle import _distance_matrix
 
 
@@ -428,3 +430,37 @@ def test_argument_errors_name_the_argument(call, message):
     with pytest.raises(GraphError) as exc:
         call()
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("weights", [
+    # from the least subnormal to near the largest float, and 0
+    [5e-324, 0.0, 2.5e-308, 1e-300, 0.1, 0.2, 0.3, 1.0, 3.0, 1e300, 1.7e308],
+    # 0.1 + 0.2 exceeds 0.3 in binary: the first two weigh more than half
+    [0.1, 0.2, 0.3],
+    [5e-324] * 5,
+], ids=["range", "decimal", "subnormal"])
+def test_weight_units_keep_the_floats_ratios_and_decide_balance_exactly(
+        weights):
+    units = weight_units(weights)
+    assert all(type(u) is int for u in units)
+    # one scale: every unit is the same multiple of its float
+    top = max(range(len(weights)), key=weights.__getitem__)
+    scale = Fraction(units[top]) / Fraction(weights[top])
+    assert [Fraction(u) for u in units] == [scale * Fraction(w)
+                                           for w in weights]
+    # each prefix of every order is light in units exactly when it is in
+    # exact arithmetic, and then the verifier's fsum agrees
+    total = sum(units)
+    exact_total = sum(map(Fraction, weights))
+    rng = random.Random(0)
+    order = list(range(len(weights)))
+    for _ in range(20):
+        rng.shuffle(order)
+        for k in range(len(order) + 1):
+            part = order[:k]
+            light = 2 * sum(units[v] for v in part) <= total
+            assert light == (2 * sum(Fraction(weights[v]) for v in part)
+                             <= exact_total)
+            if light:
+                assert (math.fsum(weights[v] for v in part)
+                        <= math.fsum(weights) / 2)

@@ -199,6 +199,17 @@ def test_a_model_that_fails_its_check_is_an_internal_fault(monkeypatch):
         coarse_separator_or_model(path_graph(1200), K2, 3, config)
 
 
+def test_a_certificate_that_fails_its_check_is_an_internal_fault(monkeypatch):
+    # a peel that returns the empty separator of a connected host: the entry
+    # point's one check of the certificate, on g, raises
+    monkeypatch.setattr(pipeline_module, "balanced_separator_by_sweeps",
+                        lambda q, units: BalancedSeparatorResult(
+                            frozenset(), (), ()))
+    with pytest.raises(GraphError, match="star-quotient certificate failed "
+                       r"verification \(balanced=False, heaviest=10.0"):
+        induced_minor_separator(path_graph(10))
+
+
 def test_fatness_must_be_positive():
     with pytest.raises(GraphError):
         coarse_separator_or_model(grid_graph(5), K3, 0)
@@ -308,21 +319,63 @@ def test_hub_inside_the_window_gets_a_flow_or_a_cut():
         assert res.sparsity <= 64.0 * math.log(801) / gamma * (1 + 1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=GraphError,
-                   reason="ROADMAP Direction 5: balance is decided on the "
-                          "weights divided by the heaviest one")
+def _two_cliques(a, b):
+    """K_a on 0..a-1 and K_b on a..a+b-1, with no edge between them."""
+    return [(u, v) for u in range(a + b) for v in range(u + 1, a + b)
+            if (u < a) == (v < a)]
+
+
 @pytest.mark.parametrize("solve", [
     induced_minor_separator,
     lambda g: coarse_separator_or_model(
         g, K3, 3, PipelineConfig(eps=0.5)).certificate,
 ], ids=["induced", "pipeline"])
 def test_a_tie_on_rescaled_weights_gives_a_verified_certificate(solve):
-    # Divided by 0.3, the weights 0.1 and 0.2 sum to exactly 1 = W/2, so
-    # the component {1, 2} counts as light; on the host 0.1 + 0.2 =
-    # 0.30000000000000004 exceeds W/2 = 0.3, and the certificate check
-    # raises "certificate failed verification".
-    g = WeightedGraph(3, [(1, 2)], [0.3, 0.1, 0.2])
-    assert verify_certificate(g, solve(g)).ok
+    # Divided by 0.3, the weights 0.1 and 0.2 sum to exactly 1 = W/2, while
+    # on the host 0.1 + 0.2 = 0.30000000000000004 exceeds W/2 = 0.3: a
+    # balance decided on the rescaled quotient kept {1, 2} whole.  The two
+    # cliques each weigh 1.7 in decimal, W/2, but not in binary: on the
+    # rescaled quotient both entry points kept the heavier one whole.
+    # Balance decided on the host's weight units cuts it.
+    hosts = [
+        WeightedGraph(3, [(1, 2)], [0.3, 0.1, 0.2]),
+        WeightedGraph(14, _two_cliques(6, 8),
+                      [0.3, 0.1, 0.3, 0.2, 0.7, 0.1,
+                       0.4, 0.3, 0.4, 0.0, 0.0, 0.2, 0.4, 0.0]),
+    ]
+    for g in hosts:
+        assert verify_certificate(g, solve(g)).ok
+
+
+@st.composite
+def _decimal_weight_hosts(draw):
+    # one-decimal weights, whose sums in binary miss their decimal values
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    weights = draw(st.lists(st.sampled_from(
+        [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1.1]), min_size=n, max_size=n))
+    return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: SeparatorFound(induced_minor_separator(g)),
+    lambda g: coarse_separator_or_model(g, K3, 3, PipelineConfig(eps=0.5)),
+    # far above W^2 every peel step routes, so the heavy-clusters test
+    # decides most hosts
+    lambda g: coarse_separator_or_model(
+        g, K2, 1, PipelineConfig(trials=8, congestion_override=1e9)),
+], ids=["induced", "pipeline", "override"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(g=_decimal_weight_hosts())
+def test_decimal_weights_give_answers_that_verify_on_the_host(solve, g):
+    # a model was verified on g where the entry point returned it
+    res = solve(g)
+    if isinstance(res, SeparatorFound):
+        assert verify_certificate(g, res.certificate).ok
+    else:
+        assert isinstance(res, (ModelFound, PipelineFailure))
 
 
 def test_default_trials_can_all_fail():
@@ -563,14 +616,12 @@ def test_induced_separators_match_golden_digest():
 def test_sweep_peel_steps_and_size_on_the_golden_quotients():
     # On the star quotients of the 16 gnp hosts above, the peel that took
     # the sparsest cut at every step ran 183 steps for 531 separator
-    # vertices.  With the minimum bite and the prune it runs 116 for 485,
-    # with ties counted as `induced_minor_separator` counts them on unit
-    # hosts; crumb steps coming back would raise the first count.
+    # vertices.  With the minimum bite and the prune it runs 116 for 485;
+    # crumb steps coming back would raise the first count.
     steps = size = 0
     for seed in range(16):
         g = _heaviest_weight_one(gnp_graph(150, 4 / 150, seed=seed))[0]
-        res = balanced_separator_by_sweeps(star_partition(g)[1].graph,
-                                           ties=True)
+        res = balanced_separator_by_sweeps(star_partition(g)[1].graph)
         steps += len(res.steps)
         size += len(res.separator)
     assert (steps, size) == (116, 485)
