@@ -35,18 +35,18 @@ One peel loop, `_peel`, applies a step to the still-active induced
 subgraph and peels the lighter side of each separation until the rest
 weighs less than W/2; the components of G - S that its balance check
 finds are the result's pieces.  It decides balance exactly on `units`,
-the `graph.weight_units` of g's weights or of the graph whose quotient g
-is; a part light in units passes the verifier's `math.fsum` test, since
-rounding is monotone.  `balanced_separator_or_flow` steps with the
-dichotomy and ends with either a balanced separator of the whole graph or
-a flow on a still-heavy induced subgraph; each of its cuts must meet the
-sparsity bound, so each is the sparsest the sweep finds.
-`balanced_separator_by_sweeps` steps with the component split or the
-sweep alone; it needs no congestion budget and never routes.  Since only
-its final balance counts, each step takes a minimum bite (both sides hold
-at least _MIN_BITE of the active weight), and the separator is pruned
-afterwards, starting from the peel's pieces: vertices go back while
-every component stays at most W/2.
+the `graph.weight_units` of g's weights, or per cluster where g is a
+quotient (`pipeline._weighed_quotient`); a part light in units passes the
+verifier's `math.fsum` test, since rounding is monotone.
+`balanced_separator_or_flow` steps with the dichotomy and ends with either
+a balanced separator of the whole graph or a flow on a still-heavy induced
+subgraph; each of its cuts must meet the sparsity bound, so each is the
+sparsest the sweep finds.  `balanced_separator_by_sweeps` steps with the
+component split or the sweep alone; it needs no congestion budget and
+never routes.  Since only its final balance counts, each step takes a
+minimum bite (both sides hold at least _MIN_BITE of the active weight),
+and the separator is pruned afterwards, starting from the peel's pieces:
+vertices go back while every component stays at most W/2.
 """
 
 from __future__ import annotations
@@ -653,7 +653,7 @@ def balanced_separator_by_sweeps(g: WeightedGraph, *,
     meet; only the balance at the end counts.  A fair bite peels far fewer
     crumbs (a leaf and its neighbour) and so runs fewer sweeps.  Weights
     must keep products of two sums within range (see
-    `induced_minor_separator`).
+    `pipeline._weighed_quotient`).
 
     The peel's separator is then pruned (`_pruned`): vertices go back,
     heaviest first, while the component each one joins stays light, which

@@ -185,22 +185,19 @@ def _round_flow_to_model(pattern: PatternGraph, sub: SubdividedPattern,
 # The 3-fat core
 
 
-def _heaviest_weight_one(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """`g` with its weights divided by the heaviest one, and that weight.
+def _weighed_quotient(g: WeightedGraph, q: QuotientGraph
+                      ) -> tuple[WeightedGraph, list[int]]:
+    """`q`'s graph weighed by g's heaviest vertex, and each cluster's units.
 
-    Uniform weights become exactly 1.  When no weight needs dividing (the
-    heaviest is 1, or none is positive) the result is `g` itself and 1.
+    A cluster's units are its exact sum of `weight_units` of g, and its
+    float is that sum divided by the heaviest vertex's units, rounded once:
+    the heaviest vertex weighs exactly 1, and uniform weights at any scale
+    give each cluster its size.
     """
-    top = max(g.weights, default=0.0)
-    if top > 0 and top != 1.0:
-        return g.with_weights([w / top for w in g.weights]), top
-    return g, 1.0
-
-
-def _cluster_units(g: WeightedGraph, q: QuotientGraph) -> list[int]:
-    """Each cluster of `q` as its exact sum of `weight_units` of `g`."""
     units = weight_units(g.weights)
-    return [sum(units[v] for v in cl) for cl in q.clusters]
+    sums = [sum(units[v] for v in cl) for cl in q.clusters]
+    top = max(units)
+    return q.graph.with_weights([s / top for s in sums]), sums
 
 
 def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
@@ -212,13 +209,12 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     must have at least two vertices unless it is trivial (a one-vertex
     pattern embeds anywhere, an empty pattern everywhere).
 
-    The flow and the sweep work on the weights divided by the heaviest
-    one; uniform weights become exactly 1, so at any scale from 1e-300 to
-    1e300 they give the unit-weight answer.  `congestion_override` and the
-    reported `gamma` scale as W^2 and are in the caller's scale.  The peel
-    and the heavy-clusters test decide balance exactly, on `_cluster_units`
-    of g (a graph power keeps g's vertices).  Answers come back unverified:
-    `coarse_separator_or_model` checks them on its own graph.
+    The flow and the sweep work on `_weighed_quotient`, where the heaviest
+    vertex weighs 1; `congestion_override` and the reported `gamma` are in
+    the caller's scale (they scale as W^2).  Every weight decision, the
+    peel's and the light-cluster test, is made exactly on the quotient's
+    units.  Answers come back unverified: `coarse_separator_or_model`
+    checks them on its own graph.
 
     At the paper's gamma the rounding branch needs quotients far larger
     than this pure-Python code reaches.  A flow needs gamma at least the
@@ -243,13 +239,13 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     sub = two_subdivision(ensure_no_isolated(pattern))
     h = sub.size
     rng = random.Random(config.seed)
-    host, top = _heaviest_weight_one(g)
+    top = max(g.weights)
 
-    part = sparse_partition(host, config.eps, rng)
-    q = quotient(host, part.clusters)
-    units = _cluster_units(g, q)
+    part = sparse_partition(g, config.eps, rng)
+    q = quotient(g, part.clusters)
+    qg, units = _weighed_quotient(g, q)
     close = close_cluster_pairs(q)
-    total = host.total_weight
+    total = qg.total_weight
     override = config.congestion_override
     if override is not None:
         gamma = override / top / top
@@ -258,24 +254,24 @@ def _core_3fat(g: WeightedGraph, pattern: PatternGraph,
     # gamma in the caller's scale: 0 or inf beyond the float range
     reported = override if override is not None else gamma * top * top
 
-    outcome = balanced_separator_or_flow(q.graph, gamma, units=units)
+    outcome = balanced_separator_or_flow(qg, gamma, units=units)
     if isinstance(outcome, BalancedSeparatorResult):
-        cert = _certificate_from_clusters(host, part, outcome.separator)
+        cert = _certificate_from_clusters(g, part, outcome.separator)
         return SeparatorFound(cert, "peeling", reported)
 
-    # a flow survived on a heavy set of clusters
+    # a flow survived on a heavy set of clusters; a cluster is light below
+    # 1/(4h^2) of the total weight
     heavy: HeavyFlowResult = outcome
-    qw = q.graph.weights
-    threshold = total / (4.0 * h * h)
+    whole = sum(units)
     light_local = [x for x, c in enumerate(heavy.vertices)
-                   if qw[c] < threshold]
-    w_light = sum(units[heavy.vertices[x]] for x in light_local)
+                   if 4 * h * h * units[c] < whole]
+    light = {heavy.vertices[x] for x in light_local}
+    w_light = sum(units[c] for c in light)
     if 2 * w_light <= sum(units[c] for c in heavy.vertices):
         # the light clusters weigh at most half the active weight: adding
         # the heavy ones to the peeled separator leaves only light parts
-        ids = set(heavy.separator)
-        ids.update(c for c in heavy.vertices if qw[c] >= threshold)
-        cert = _certificate_from_clusters(host, part, ids)
+        ids = set(heavy.separator) | (set(heavy.vertices) - light)
+        cert = _certificate_from_clusters(g, part, ids)
         return SeparatorFound(cert, "heavy-clusters", reported)
     return _round_flow_to_model(pattern, sub, q, close, heavy, light_local,
                                 config, rng, reported)
@@ -328,20 +324,18 @@ def induced_minor_separator(g: WeightedGraph) -> SeparatorCertificate:
     separator comes from peeling sweep cuts of the quotient, each with
     both sides at least 5 % of the active weight, and then pruning it
     (`balanced_separator_by_sweeps`, with no congestion budget or
-    routing): stars go back while every component stays light.  The
-    quotient carries the weights divided by the heaviest one, so its
-    heaviest weight lies in [1, n]: the sweep's products of side weights
-    stay in the float range, and uniform weights at any scale give the
-    unit-weight answer.  Balance is decided exactly, on each star's sum of
-    `weight_units` of g, and checked once, when the certificate is
-    verified on `g`, since the components of G - S are unions of stars.
+    routing): stars go back while every component stays light.  It runs
+    on `_weighed_quotient`, whose float products stay in range at any
+    scale, and decides balance exactly on each star's units; the
+    certificate is checked once, on `g`, since the components of G - S
+    are unions of stars.
     """
     if g.total_weight <= 0:
         # nothing carries weight, so the empty separator is balanced
         return SeparatorCertificate(frozenset(), (), 0)
-    host = _heaviest_weight_one(g)[0]
-    part, q = star_partition(host)
-    res = balanced_separator_by_sweeps(q.graph, units=_cluster_units(g, q))
+    part, q = star_partition(g)
+    qg, units = _weighed_quotient(g, q)
+    res = balanced_separator_by_sweeps(qg, units=units)
     sep: set[int] = set()
     centers = []
     # in id order: a set's repr follows the order its members went in

@@ -404,6 +404,39 @@ def test_a_cut_whose_weight_product_underflows_has_sparsity_inf():
     assert exact_sparsest_separation(h).sparsity == math.inf
 
 
+@st.composite
+def _dichotomy_cases(draw):
+    # a host on at most 9 vertices with random edges, unit, skewed or
+    # zero-and-decimal weights, and gamma from 1e-3 W^2 to 2 W^2
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    edges = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        st.floats(-3, 3).map(lambda x: 10.0 ** x),
+        st.sampled_from([0.0, 1.0, 2.5])]))
+    g = WeightedGraph(n, edges, draw(st.lists(weight, min_size=n,
+                                              max_size=n)))
+    assume(g.total_weight > 0)
+    return g, g.total_weight ** 2 * 10.0 ** draw(st.floats(-3, 0.3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_dichotomy_cases())
+def test_flow_or_cut_is_sound_against_the_exact_sparsest_cut(case):
+    g, gamma = case
+    res = flow_or_sparse_cut(g, gamma)
+    if isinstance(res, ConcurrentFlow):
+        res.check()
+        assert res.max_congestion() <= gamma * (1 + 1e-9)
+        return
+    redone = make_separation(g, res.side_a, res.side_b)
+    assert redone.sparsity <= 64.0 * math.log(g.n) / gamma * (1 + 1e-9)
+    assert redone.sparsity >= (exact_sparsest_separation(g).sparsity
+                               * (1 - 1e-9))
+
+
 def test_sweep_stops_before_the_last_positive_vertex():
     # Summed in path order the positives weigh 1.0, below their exact total
     # 1 + 2e-16: the prefix holding all of them once read as a cut of

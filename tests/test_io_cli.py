@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -835,6 +836,16 @@ _GOLDEN = [
      "sha256:291f971ec1517bfd82a6f00d076fbacd9235b7bd9591be6917be5d347f773d51"),
     (["induced-sep", "{gnp}", "--json"],
      "sha256:ad291545c7ffe2f45284605838f1d6a297d010726d75487cb0f37821eb281ea0"),
+    # integer weights 1-9; at d = 5 the power graph hides them, at d = 3
+    # and on the star quotient they move the separator
+    (["separate", "{reg}", "--weights", "{wreg}", "--pattern", "{k3}",
+      "--fatness", "5", "--eps", "0.5", "--json"],
+     "sha256:d24090168d09d44122889878f7d703086a56d846f0805f046065829b73da606a"),
+    (["separate", "{reg}", "--weights", "{wreg}", "--pattern", "{k3}",
+      "--fatness", "3", "--eps", "0.5", "--json"],
+     "sha256:52cc379d16bba14f0ba724416540ce39d91334ca2ceed007486e027ab81add28"),
+    (["induced-sep", "{gnp}", "--weights", "{wgnp}", "--json"],
+     "sha256:ca1de6978f002c5dc8669b219b0b3c71ededf5115a54209a5a639e9a57643252"),
     (["bench", "--family", "grid", "--sizes", "5,7"],
      "n,branch,separator_size,centers,radius,runtime_s,verified\r\n"
      "25,separator,14,1,6,,True\r\n49,separator,23,1,9,,True\r\n"),
@@ -881,6 +892,11 @@ def test_cli_output_is_byte_identical_to_golden(tmp_path, capsys):
                        ("split", "4 2\n0 1\n2 3\n")):
         paths[name] = str(tmp_path / f"{name}.txt")
         (tmp_path / f"{name}.txt").write_text(text)
+    rng = random.Random(7)
+    weights = [float(rng.randint(1, 9)) for _ in range(300)]
+    for name, n in (("wreg", 300), ("wgnp", 60)):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        write_weights(weights[:n], paths[name])
     for argv, expected in _GOLDEN:
         code, out, _ = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 0, argv

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from coarsesep import (
     induced_minor_separator,
     power,
     power_model_to_base,
+    quotient,
     star_partition,
     verify_certificate,
     verify_fat_model,
@@ -50,7 +52,7 @@ import coarsesep.flow as flow_module
 import coarsesep.pipeline as pipeline_module
 from coarsesep.cli import main as cli_main
 from coarsesep.flow import balanced_separator_by_sweeps
-from coarsesep.pipeline import _heaviest_weight_one
+from coarsesep.pipeline import _weighed_quotient
 
 K2 = PatternGraph(2, [(0, 1)])
 K3 = PatternGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -543,7 +545,8 @@ def test_pipeline_gives_unit_answer_at_any_uniform_weight(scale):
 
 @pytest.mark.parametrize("scale", [1e-300, 3.0, 1e300])
 def test_core_gives_unit_answer_at_any_uniform_weight(scale):
-    # the core itself divides the weights by the heaviest one
+    # the core weighs its quotient by the heaviest vertex, so the scale
+    # cancels
     g = grid_graph(20)
     scaled = g.with_weights([scale] * g.n)
     unit = coarse_separator_or_model(g, K3, 3)
@@ -552,6 +555,31 @@ def test_core_gives_unit_answer_at_any_uniform_weight(scale):
     assert res.certificate == unit.certificate
     assert_verified_certificate(scaled, res)
     assert res.gamma == unit.gamma * scale * scale
+
+
+@pytest.mark.parametrize("weights", [
+    [2.0, 6.0, 7.0, 6.0, 9.0, 1.0, 3.0, 8.0],
+    [0.1, 0.2, 0.3, 0.7, 1.1, 0.0, 0.6, 0.3],
+    [1e300, 3e-300, 1.7e300, 1e300, 2.5e300, 7e299, 0.0, 1e300],
+    [3e-300, 1e-300, 5e-324, 2e-300, 4e-300, 1e-310, 0.0, 2.5e-300],
+], ids=["integer", "decimal", "huge", "tiny"])
+def test_weighed_quotient_rounds_each_exact_cluster_sum_once(weights):
+    g = path_graph(8).with_weights(weights)
+    q = quotient(g, [[0, 1, 2, 3], [4], [5, 6], [7]])
+    qg, units = _weighed_quotient(g, q)
+    top = Fraction(max(weights))
+    exact = [sum(Fraction(weights[v]) for v in cl) for cl in q.clusters]
+    assert qg.adj == q.graph.adj
+    assert qg.weights == [float(x / top) for x in exact]
+    # the units scale every exact sum by one factor
+    assert all(Fraction(u) == units[1] / top * x
+               for u, x in zip(units, exact))
+    assert qg.weights[1] == 1.0  # the heaviest vertex alone
+    if weights[0] == 2.0:
+        # {2, 6, 7, 6} / 9: one rounding, where the sum of rounded
+        # ratios is one unit in the last place lower
+        assert qg.weights[0] == 21 / 9 == 2.3333333333333335
+        assert math.fsum(weights[v] / 9 for v in range(4)) < 21 / 9
 
 
 @pytest.mark.parametrize("scale", [1e-100, 3.0, 1e100])
@@ -620,7 +648,7 @@ def test_sweep_peel_steps_and_size_on_the_golden_quotients():
     # crumb steps coming back would raise the first count.
     steps = size = 0
     for seed in range(16):
-        g = _heaviest_weight_one(gnp_graph(150, 4 / 150, seed=seed))[0]
+        g = gnp_graph(150, 4 / 150, seed=seed)
         res = balanced_separator_by_sweeps(star_partition(g)[1].graph)
         steps += len(res.steps)
         size += len(res.separator)
@@ -718,16 +746,16 @@ def test_peels_are_balanced_and_within_the_size_cap(q):
     assert verify_certificate(q, cert).ok
     if q.total_weight == 0:
         return
-    # the peels, on the weights the entry points hand them
-    g = _heaviest_weight_one(q)[0]
+    # the peels, on the graph and units the entry points hand them
+    g, units = _weighed_quotient(q, quotient(q, [[v] for v in range(q.n)]))
     total = g.total_weight
     if sum(1 for w in g.weights if w > 0) >= 2:
-        res = balanced_separator_by_sweeps(g)
+        res = balanced_separator_by_sweeps(g, units=units)
         _assert_peel_structure(g, res)
-        assert verify_separator(g, res.separator, res.separator, 0).balanced
+        assert verify_separator(q, res.separator, res.separator, 0).balanced
     for c in (0.01, 0.3, 2.0):
         gamma = c * total * total
-        res = balanced_separator_or_flow(g, gamma)
+        res = balanced_separator_or_flow(g, gamma, units=units)
         _assert_peel_structure(g, res)
         if isinstance(res, BalancedSeparatorResult):
             # the proof in `balanced_separator_or_flow`: each step's cut is
