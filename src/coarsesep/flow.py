@@ -25,6 +25,15 @@ not look for the better one.  It tries, in order:
 Each cut candidate is recomputed from scratch before it is used, so a
 returned object always satisfies its side of the dichotomy.
 
+The spectral order sorts the vertices by a Fiedler vector.  A direct call
+solves it cold (`eigvalsh`, then inverse iteration).  Inside a peel, a
+step that follows a separator-only step (one that removed only its
+separator from the active set) warm-starts it instead, with one
+Rayleigh-quotient step from the previous step's vector; every other step
+solves cold.  Correctness never depends on which: an order is only a
+heuristic, and each cut is rebuilt by `make_separation` and, in the
+dichotomy, checked against the bound.
+
 A flow is fixed by its host: `ConcurrentFlow(host)` routes each ordered
 pair of positive vertices along the source's BFS tree.  Its p(p-1) paths
 (p positive vertices) are walked on demand, never written out, and each
@@ -55,11 +64,11 @@ import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
-from .graph import (GraphError, Separation, WeightedGraph, bfs_distances,
-                    bfs_tree, connected_components, induced_subgraph,
-                    make_separation, weight_units)
+from .graph import (GraphError, Separation, WeightedGraph, bfs_tree,
+                    connected_components, induced_subgraph, make_separation,
+                    weight_units)
 
 # c in the sparsity bound c * ln(n) / gamma, fixed by the O(log n) flow-cut
 # gap (Leighton and Rao, JACM 1999)
@@ -277,16 +286,10 @@ def _prefix_separation(g: WeightedGraph, order: list[int],
     return make_separation(g, side_a, set(range(g.n)) - u_set)
 
 
-def _fiedler_vector(g: WeightedGraph):
-    """A unit eigenvector of the Laplacian for its second-smallest eigenvalue.
-
-    A numpy array, or None where no spectral order is computed: fewer than
-    3 or more than 800 vertices, no edge, or a failed LAPACK call.
-    """
-    if g.n < 3 or g.n > 800 or g.m == 0:
-        return None
+def _laplacian(g: WeightedGraph):
+    """The Laplacian of g as a dense numpy array, scattered from the
+    adjacency rows: the same matrix as one summed edge by edge."""
     import numpy as np
-    # the same matrix as one summed edge by edge
     adj = g.adj
     lap = np.zeros((g.n, g.n))
     degrees = [len(row) for row in adj]
@@ -296,6 +299,22 @@ def _fiedler_vector(g: WeightedGraph):
     lap[rows, cols] = -1.0
     diagonal = np.arange(g.n)
     lap[diagonal, diagonal] = degrees
+    return lap
+
+
+def _fiedler_vector(g: WeightedGraph):
+    """A unit eigenvector of the Laplacian for its second-smallest eigenvalue.
+
+    A numpy array, or None where no spectral order is computed: fewer than
+    3 or more than 800 vertices, no edge, or a failed LAPACK call.  This is
+    the cold solve; `_fiedler_order` says when a peel step warm-starts
+    instead, and why the sweep's cuts are valid either way.
+    """
+    if g.n < 3 or g.n > 800 or g.m == 0:
+        return None
+    import numpy as np
+    lap = _laplacian(g)
+    diagonal = np.arange(g.n)
     try:
         # eigvalsh skips eigh's back-transform of all n vectors; two steps of
         # inverse iteration just below lambda_2 then give its vector.  The
@@ -317,9 +336,74 @@ def _fiedler_vector(g: WeightedGraph):
     return vec
 
 
-def _fiedler_order(g: WeightedGraph) -> list[int] | None:
-    """Vertices sorted by their Fiedler vector entry, equal entries by id."""
-    fiedler = _fiedler_vector(g)
+def _warm_fiedler_vector(g: WeightedGraph, start):
+    """One Rayleigh-quotient step from `start`, or None where it fails.
+
+    `start` is the previous peel step's Fiedler vector restricted to g,
+    the active set left after that step peeled only its separator, so it
+    has at most 800 entries.  With x the mean-free unit `start` and
+    rho = x^T L x, the step returns the mean-free unit solution y of
+    (L - rho I) y = x, in which the eigencomponents nearest rho grow the
+    most.  It approximates the Fiedler vector, and its order can differ
+    from the cold one.  None where g has fewer than 3 vertices or no edge
+    (the cold solve's own floor), where the shifted matrix is exactly
+    singular (LAPACK raises), or where the result is not finite (a
+    constant `start`, or an overflow).
+    """
+    if g.n < 3 or g.m == 0:
+        return None
+    import numpy as np
+    lap = _laplacian(g)
+    with np.errstate(all="ignore"):
+        x = start - start.mean()
+        x /= np.linalg.norm(x)
+        rho = x @ lap @ x
+        diagonal = np.arange(g.n)
+        lap[diagonal, diagonal] -= rho
+        try:
+            vec = np.linalg.solve(lap, x)
+        except np.linalg.LinAlgError:
+            return None
+        vec -= vec.mean()
+        vec /= np.linalg.norm(vec)
+    return vec if np.isfinite(vec).all() else None
+
+
+class _WarmStart:
+    """The spectral vector one peel step hands to the next.
+
+    `_peel` owns one per call and passes it through the step to
+    `_fiedler_order`.  Before each step `start` is the previous step's
+    vector restricted to the active set where that step was separator-only,
+    and None otherwise; after it, `vector` is this step's Fiedler vector
+    (warm or cold), or None where the step built no spectral order.  A
+    plain class: a dataclass would cost the import about 0.5 ms.
+    """
+
+    __slots__ = ("start", "vector")
+
+    def __init__(self) -> None:
+        self.start: Any = None
+        self.vector: Any = None
+
+
+def _fiedler_order(g: WeightedGraph, warm: _WarmStart | None = None
+                   ) -> list[int] | None:
+    """Vertices sorted by their Fiedler vector entry, equal entries by id.
+
+    The vector is warm-started from `warm.start` where the peel hands one
+    over (`_warm_fiedler_vector`), and solved cold otherwise, or where the
+    warm step fails.  Either way the order is only a heuristic for the
+    sweep: every cut it gives is rebuilt by `make_separation` and, in the
+    dichotomy, checked against the bound.
+    """
+    fiedler = None
+    if warm is not None and warm.start is not None:
+        fiedler = _warm_fiedler_vector(g, warm.start)
+    if fiedler is None:
+        fiedler = _fiedler_vector(g)
+    if warm is not None:
+        warm.vector = fiedler
     if fiedler is None:
         return None
     vec = fiedler.tolist()
@@ -340,46 +424,64 @@ def _fiedler_order(g: WeightedGraph) -> list[int] | None:
     return sorted(range(g.n), key=key.__getitem__)
 
 
-def _bfs_sources(g: WeightedGraph) -> list[int]:
+def _bfs_orders(g: WeightedGraph) -> list[list[int]]:
+    """BFS visit orders from up to four spread-out sources, source first.
+
+    The first source is a heaviest vertex top.  Vertex 0 may lie in a
+    weightless component, whose BFS order gives no cut, so the second is
+    the least id of top's tree, the positives' component.  Two
+    farthest-point picks spread the other starts out.  Each tree's depths
+    give its source's distances, and the distance from a set of sources is
+    their elementwise minimum, so no search runs besides the trees.
+    """
     w = g.weights
     # a heaviest vertex is positive, so it lies with the other positives
     top = max(range(g.n), key=lambda v: (w[v], -v))
-    # vertex 0 may lie in a weightless component, whose BFS order gives no
-    # cut: start at the lowest id of the positives' component instead
-    dist = bfs_distances(g, [top])
-    start = next(v for v, d in enumerate(dist) if d < math.inf)
-    sources = [top, start]
-    # farthest-point picks spread the region-growing starts out
+    dist = [math.inf] * g.n  # hops from the nearest source so far
+    orders: list[list[int]] = []
+
+    def grow(s: int) -> None:
+        seen = [False] * g.n
+        seen[s] = True
+        parent, order = bfs_tree(g, s, seen)
+        orders.append(order)
+        depth = [0] * g.n
+        dist[s] = 0
+        for v in order[1:]:
+            d = depth[v] = depth[parent[v]] + 1
+            if d < dist[v]:
+                dist[v] = d
+
+    grow(top)
+    start = min(orders[0])
+    if start != top:
+        grow(start)
     for _ in range(2):
-        dist = bfs_distances(g, sources)
-        finite = [(d, v) for v, d in enumerate(dist) if d < math.inf]
-        far = max(finite)[1]
-        if far in sources:
+        # distance 0 marks the sources: all that is reachable is one
+        d, far = max((d, v) for v, d in enumerate(dist) if d < math.inf)
+        if d == 0:
             break
-        sources.append(far)
-    return list(dict.fromkeys(sources))
+        grow(far)
+    return orders
 
 
-def _cut_orders(g: WeightedGraph) -> list[list[int]]:
+def _cut_orders(g: WeightedGraph, warm: _WarmStart | None = None
+                ) -> list[list[int]]:
     # A BFS order covers its source's component only, and every source lies
     # in the positives' component: the sweep would stop before any vertex
     # appended to the order.
-    orders = []
-    for s in _bfs_sources(g):
-        seen = [False] * g.n
-        seen[s] = True
-        orders.append(bfs_tree(g, s, seen)[1])
+    orders = _bfs_orders(g)
     w = g.weights
     orders.append(sorted(range(g.n), key=lambda v: (w[v], v)))
-    fiedler = _fiedler_order(g)
+    fiedler = _fiedler_order(g, warm)
     if fiedler is not None:
         orders.append(fiedler)
         orders.append(fiedler[::-1])
     return orders
 
 
-def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0
-                           ) -> Separation:
+def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0,
+                           warm: _WarmStart | None = None) -> Separation:
     """Sparsest prefix cut over all orders.
 
     Both callers pass hosts whose two or more positive vertices share a
@@ -391,10 +493,11 @@ def _best_sweep_separation(g: WeightedGraph, bite: float = 0.0
     has such sides in exact arithmetic, so the second sweep runs only where
     float drift hides it: where w(t) > W - 2 bite W the last prefix has
     them, and otherwise the first prefix of any order whose side A reaches
-    the bite leaves its side B more than the bite.
+    the bite leaves its side B more than the bite.  `warm` carries the
+    peel's spectral vector (see `_fiedler_order`).
     """
     total = g.total_weight
-    orders = _cut_orders(g)
+    orders = _cut_orders(g, warm)
     best: tuple[float, list[int], int] | None = None
     for least in (bite * total, 0.0) if bite else (0.0,):
         for order in orders:
@@ -424,7 +527,8 @@ def _component_split(g: WeightedGraph) -> Separation | None:
 # The dichotomy
 
 
-def flow_or_sparse_cut(g: WeightedGraph, gamma: float
+def flow_or_sparse_cut(g: WeightedGraph, gamma: float, *,
+                       warm: _WarmStart | None = None
                        ) -> ConcurrentFlow | Separation:
     """Concurrent flow at congestion <= gamma, or a sparse separation.
 
@@ -433,7 +537,9 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     flow, then the sweep for the cut.  Raises FlowCutError when the tree
     flow misses gamma and no sweep cut meets the bound.  Below the endpoint
     bound that cannot happen (see the comment before the sweep); inside the
-    window both searches are heuristics, so it can.
+    window both searches are heuristics, so it can.  `warm` is the peel's
+    private hand-over of its spectral vector; a direct call leaves it None
+    and sweeps with a cold spectral order.
     """
     if not math.isfinite(gamma) or gamma <= 0:
         raise GraphError(f"gamma must be positive and finite, got {gamma}")
@@ -460,7 +566,7 @@ def flow_or_sparse_cut(g: WeightedGraph, gamma: float
     # vertex t at sparsity 1 / (W w(t)), while gamma < endpoint_lb <=
     # 2 w(t) W makes the bound exceed 32 ln(n) / (W w(t)).  Inside the
     # window it runs only after the tree flow missed gamma.
-    sep = _best_sweep_separation(g)
+    sep = _best_sweep_separation(g, 0.0, warm)
     if sep.sparsity <= bound * (1 + _REL_TOL):
         return sep
 
@@ -505,7 +611,8 @@ class HeavyFlowResult:
 
 
 def _peel(g: WeightedGraph,
-          step: Callable[[WeightedGraph], ConcurrentFlow | Separation],
+          step: Callable[[WeightedGraph, _WarmStart],
+                         ConcurrentFlow | Separation],
           units: Sequence[int]
           ) -> BalancedSeparatorResult | HeavyFlowResult:
     """Peel the lighter side of step's separations until the rest is light.
@@ -522,14 +629,19 @@ def _peel(g: WeightedGraph,
     most w(B) <= w(A), and A is disjoint from it; the last active set
     weighs less than W/2.  The stop rule and the lighter side compare
     `units`, so these bounds hold exactly.
+
+    A step is separator-only when its lighter side B lies inside A, so
+    the active set loses only S; it hands its Fiedler vector to the next
+    step through a `_WarmStart` (see the module docstring).
     """
     total = sum(units)
     active = list(range(g.n))
     sep_acc: set[int] = set()
     steps: list[float] = []
+    warm = _WarmStart()
     while 2 * sum(units[v] for v in active) >= total:
         sub, ids = induced_subgraph(g, active)
-        res = step(sub)
+        res = step(sub, warm)
         if isinstance(res, ConcurrentFlow):
             return HeavyFlowResult(tuple(active), res, frozenset(sep_acc),
                                    tuple(steps))
@@ -546,6 +658,15 @@ def _peel(g: WeightedGraph,
         # make_separation gave both sides positive weight, so B is nonempty
         # and the active set shrinks on every step
         active = sorted(a_set - b_set)
+        # A separator-only step (B inside A) hands its vector on, restricted
+        # to the local ids that stay active; ids ascend, so these are the
+        # next step's ids in order.
+        if warm.vector is not None and b_set <= a_set:
+            warm.start = warm.vector[[i for i, v in enumerate(ids)
+                                      if v not in b_set]]
+        else:
+            warm.start = None
+        warm.vector = None
     pieces = connected_components(g, set(range(g.n)) - sep_acc)
     return BalancedSeparatorResult(frozenset(sep_acc),
                                    tuple(map(tuple, pieces)), tuple(steps))
@@ -572,15 +693,17 @@ def balanced_separator_or_flow(g: WeightedGraph, gamma: float, *,
     separator and adds nothing.
     """
     units = weight_units(g.weights) if units is None else units
-    return _peel(g, lambda sub: flow_or_sparse_cut(sub, gamma), units)
+    return _peel(g, lambda sub, warm: flow_or_sparse_cut(sub, gamma,
+                                                        warm=warm), units)
 
 
-def _sweep_cut(g: WeightedGraph) -> Separation:
+def _sweep_cut(g: WeightedGraph, warm: _WarmStart | None = None
+               ) -> Separation:
     """The component split, or else the sparsest sweep cut of a fair bite.
 
     The sweep takes the sparsest prefix cut whose sides each hold at least
     _MIN_BITE of the weight, or the sparsest cut overall where no order
-    has one.
+    has one.  `warm` is the peel's spectral hand-over.
     """
     split = _component_split(g)
     if split is not None:
@@ -590,7 +713,7 @@ def _sweep_cut(g: WeightedGraph) -> Separation:
     if len(positives) < 2:
         # one vertex carries all the active weight: it is the separator
         return make_separation(g, positives, range(g.n))
-    return _best_sweep_separation(g, _MIN_BITE)
+    return _best_sweep_separation(g, _MIN_BITE, warm)
 
 
 def _pruned(g: WeightedGraph, separator: frozenset[int],

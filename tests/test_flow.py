@@ -33,11 +33,12 @@ from coarsesep.generators import (
     path_graph,
 )
 import coarsesep.flow as flow_module
-from coarsesep.flow import (_MIN_BITE, _best_sweep_separation, _cut_orders,
-                            _fiedler_order, _fiedler_vector, _pruned,
-                            _sweep_cut, _sweep_order, _tree_congestion,
+from coarsesep.flow import (_MIN_BITE, _best_sweep_separation, _bfs_orders,
+                            _cut_orders, _fiedler_order, _fiedler_vector,
+                            _pruned, _sweep_cut, _sweep_order,
+                            _tree_congestion, _warm_fiedler_vector,
                             balanced_separator_by_sweeps)
-from coarsesep.graph import bfs_tree, weight_units
+from coarsesep.graph import bfs_distances, bfs_tree, weight_units
 from coarsesep.oracle import exact_sparsest_separation
 
 
@@ -365,9 +366,9 @@ def test_every_bfs_order_starts_inside_the_positives_component():
     # vertex 0 would cover only it and give no cut
     edges = [(0, 1)] + [(v, v + 1) for v in range(2, 11)] + [(2, 11)]
     g = WeightedGraph(12, edges, [0.0, 0.0] + [float(v) for v in range(2, 12)])
-    sources = flow_module._bfs_sources(g)
-    assert sources[:2] == [11, 2]
-    orders = _cut_orders(g)[:len(sources)]
+    orders = flow_module._bfs_orders(g)
+    assert [order[0] for order in orders][:2] == [11, 2]
+    assert _cut_orders(g)[:len(orders)] == orders
     for order in orders:
         assert _sweep_order(g, order, g.total_weight) is not None
 
@@ -578,6 +579,80 @@ def test_fiedler_ties_go_in_id_order_across_any_grid_boundary(monkeypatch):
     assert _fiedler_order(path_graph(5)) == [4, 0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("g", [path_graph(40), grid_graph(5, 9),
+                               barbell_graph(6, 3)],
+                         ids=["path40", "grid5x9", "barbell"])
+def test_a_warm_step_from_the_fiedler_vector_keeps_it(g):
+    # One Rayleigh-quotient step from an eigenvector of a simple lambda_2
+    # stays on it: the warm vector is mean-free, of unit length, and the
+    # cold one up to sign.  (Where lambda_2 is multiple, the nearly
+    # singular solve may turn it within the eigenspace.)
+    import numpy as np
+    cold = _fiedler_vector(g)
+    warm = _warm_fiedler_vector(g, 3.0 * cold + 1.0)
+    assert abs(np.linalg.norm(warm) - 1.0) <= 1e-12
+    assert abs(warm.sum()) <= 1e-9
+    assert min(np.linalg.norm(warm - cold),
+               np.linalg.norm(warm + cold)) <= 1e-8
+
+
+@pytest.mark.parametrize("start", [[1.0, -1.0, 1.0, -1.0], [2.0] * 4],
+                         ids=["singular", "constant"])
+def test_a_failed_warm_step_returns_none(start):
+    # On K4 every mean-free vector is an eigenvector for 4, so x = (1, -1,
+    # 1, -1) / 2 gives rho = 4 exactly and L - rho I = -J, which LAPACK
+    # finds singular.  A constant start is 0 once its mean goes, and its
+    # 0 / 0 leaves no finite vector.
+    import numpy as np
+    assert _warm_fiedler_vector(complete_graph(4), np.array(start)) is None
+
+
+@pytest.mark.parametrize("peel", ["sweeps", "dichotomy"])
+def test_a_singular_warm_step_falls_back_to_the_cold_order(monkeypatch,
+                                                           peel):
+    # K5 weighted 1..5: the first step cuts off the heaviest vertex and
+    # keeps K4.  A cut of a complete graph has B = S, so the step is
+    # separator-only and the second step starts warm.  Its restricted
+    # vector gives rho = 4.0 exactly on K4 (see the test above), the warm
+    # solve fails, and the step solves cold: both steps call eigvalsh, and
+    # the answer is the all-cold one.
+    import numpy as np
+    g = complete_graph(5).with_weights([1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def run():
+        if peel == "sweeps":
+            return balanced_separator_by_sweeps(g)
+        return balanced_separator_or_flow(g, 0.5)
+
+    monkeypatch.setattr(flow_module, "_warm_fiedler_vector",
+                        lambda sub, start: None)
+    cold = run()
+    monkeypatch.undo()
+    _, warm = _recording(monkeypatch, "_warm_fiedler_vector")
+    _, solves = _recording(monkeypatch, "eigvalsh", np.linalg)
+    res = run()
+    assert warm == [None]
+    assert len(solves) == 2
+    assert res == cold
+    assert res.separator == {3, 4} and res.pieces == ((0, 1, 2),)
+
+
+def _reference_bfs_orders(g):
+    """The sweep's BFS orders as three distance searches, then the trees."""
+    w = g.weights
+    top = max(range(g.n), key=lambda v: (w[v], -v))
+    dist = bfs_distances(g, [top])
+    start = next(v for v, d in enumerate(dist) if d < math.inf)
+    sources = [top, start]
+    for _ in range(2):
+        dist = bfs_distances(g, sources)
+        far = max((d, v) for v, d in enumerate(dist) if d < math.inf)[1]
+        if far in sources:
+            break
+        sources.append(far)
+    return [_bfs_tree(g, s)[1] for s in dict.fromkeys(sources)]
+
+
 def _random_weighted_host(rng):
     n = rng.randint(2, 36)
     p = rng.choice([0.1, 0.2, 0.4, 0.8])
@@ -684,16 +759,16 @@ def test_flow_or_sparse_cut_outputs_match_golden_digest():
         "ab60051499dc558936ade0f4a0342ca7e71200986f6c88395732b59425ace950")
 
 
-def _recording(monkeypatch, name):
-    """Wrap `flow_module.<name>`; returns the original and its results."""
-    original = getattr(flow_module, name)
+def _recording(monkeypatch, name, module=flow_module):
+    """Wrap `module.<name>`; returns the original and its results."""
+    original = getattr(module, name)
     results = []
 
-    def wrapper(*args):
-        results.append(original(*args))
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(flow_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return original, results
 
 
@@ -757,6 +832,15 @@ def _hosts_with_orders(draw):
     weights = draw(st.lists(weight, min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
     return WeightedGraph(n, edges, weights), order
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_hosts_with_orders())
+def test_bfs_orders_reuse_their_trees_for_the_same_sources(host):
+    # the farthest points are read off the trees' depths instead of fresh
+    # searches; hosts may be disconnected, with weightless vertices
+    g, _ = host
+    assert _bfs_orders(g) == _reference_bfs_orders(g)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

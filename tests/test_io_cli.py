@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coarsesep
@@ -256,6 +256,54 @@ def test_result_and_model_files_load_or_raise_format_error(tmp_path_factory,
             source = data["model"] if "result" in data else data
             assert type(source["fatness"]) is int
             assert loaded.fatness == source["fatness"]
+
+
+# Tokens a parser may misread: small counts and ids, numbers Python's int()
+# or float() accepts in odd spellings (underscores, non-ASCII digits, signs,
+# exponents), values out of range, and bits of arbitrary text.
+_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["1_0", "0x1", "+3", "-0", "\u0663", "1.5", "1e3", "1e309",
+                     "-1e-320", "nan", "inf", "-inf", "0.1", "9" * 5000]),
+    st.text(max_size=6))
+_LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=8)
+
+
+@st.composite
+def _headed_texts(draw):
+    # a valid header whose edge count often matches the lines after it
+    lines = draw(_LINES)
+    m = draw(st.just(len(lines)) | st.integers(0, 6))
+    return f"{draw(st.integers(0, 12))} {m}\n" + "\n".join(lines)
+
+
+_TEXTS = st.one_of(st.text(), _LINES.map("\n".join), _headed_texts())
+
+
+def _too_large_to_build(text):
+    """Whether the first content line reads as a header over 10^4 vertices."""
+    for line in text.splitlines():
+        parts = line.split()
+        if parts:
+            try:
+                return int(parts[0]) > 10 ** 4
+            except ValueError:
+                return False
+    return False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(text=_TEXTS, n=st.integers(0, 12))
+def test_text_parsers_raise_only_format_error(text, n):
+    # A header that would build a graph too large for memory is left out;
+    # any other text parses or raises FormatError, never another exception.
+    assume(not _too_large_to_build(text))
+    for parse in (parse_graph, parse_pattern,
+                  lambda t: parse_weights(t, n)):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,32 @@ def test_sweep_peel_steps_and_size_on_the_golden_quotients():
     assert (steps, size) == (116, 485)
 
 
+def test_separator_only_peel_steps_solve_eigvalsh_once_per_run(monkeypatch):
+    # On the 297-cluster quotient of the seed-0 regular-d5 host, each of the
+    # 14 peel steps is separator-only: its lighter side lies inside the
+    # other, so only the separator leaves the active set.  Only the first
+    # step solves cold (one eigvalsh); the other 13 warm-start from the
+    # step before.
+    import numpy as np
+    calls = {"eigvalsh": [], "_warm_fiedler_vector": [],
+             "_best_sweep_separation": []}
+    for module, name in ((np.linalg, "eigvalsh"),
+                         (flow_module, "_warm_fiedler_vector"),
+                         (flow_module, "_best_sweep_separation")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name].append(_original(*args))
+            return calls[_name][-1]
+
+        monkeypatch.setattr(module, name, counting)
+    g = random_regular_graph(2000, 3, seed=0)
+    res = coarse_separator_or_model(g, K3, 5, PipelineConfig(eps=0.5, seed=0))
+    assert isinstance(res, SeparatorFound)
+    assert len(calls["_best_sweep_separation"]) == 14
+    assert len(calls["eigvalsh"]) == 1
+    warm = calls["_warm_fiedler_vector"]
+    assert len(warm) == 13 and all(vec is not None for vec in warm)
+
+
 @pytest.mark.parametrize("weights, separator", [
     ([0.0] * 36, []),
     ([2.5 if v == 14 else 0.0 for v in range(36)], [14]),
